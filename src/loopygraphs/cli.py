@@ -22,7 +22,6 @@ from .degseq import (
     DISCONNECTED,
     NotLoopyGraphical,
     check_connectivity,
-    max_loop_count,
     parse_degree_sequences,
 )
 from .graph import LoopyGraph, format_edge_list
@@ -87,7 +86,7 @@ def cmd_check(args) -> int:
                 obj = {
                     "sequence": list(ds),
                     "loopy_graphical": True,
-                    "m_star": max_loop_count(ds),
+                    "m_star": report.m_star,
                     "status": report.status,
                     "method": report.method,
                     "detail": report.detail,

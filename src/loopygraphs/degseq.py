@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import bisect
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .graph import LoopyGraph
 
@@ -45,13 +45,15 @@ class ConnectivityReport:
     verdict always carries a ``witness`` realization that no swap sequence
     can turn into a max-loop graph. ``method`` records which test decided
     (``"max_degree_bound"``, ``"peeling"``, or ``"degenerate"``), ``detail``
-    the structural case.
+    the structural case. ``m_star`` is the maximum number of self-loops any
+    realization carries, worked out once on the way to the verdict.
     """
 
     status: str
     method: str
     detail: str = ""
     witness: LoopyGraph | None = None
+    m_star: int = field(kw_only=True)
 
 
 def is_simple_graphical(degrees) -> bool:
@@ -106,10 +108,12 @@ def max_loop_count(degrees) -> int:
     Raises ``NotLoopyGraphical`` when no loop count works at all. Scanning
     prefixes suffices: moving a loop from a lower-degree vertex to a
     higher-degree one shifts degree mass from a larger reduced entry to a
-    smaller, which preserves simple-graphicality.
+    smaller, which preserves simple-graphicality. The scan starts at the
+    number of entries >= 2, since any more loops would reduce some entry
+    below zero.
     """
-    ds = list(degrees)
-    for m in range(len(ds), -1, -1):
+    ds = [int(d) for d in degrees]
+    for m in range(sum(1 for d in ds if d >= 2), -1, -1):
         if is_graphical_with_loops(ds, m):
             return m
     raise NotLoopyGraphical(f"no loopy graph realizes {tuple(ds)}")
@@ -199,29 +203,36 @@ def detect_disconnected(degrees) -> ConnectivityReport:
     Peels minimum-degree vertices while wiring a candidate witness; if the
     residual ever collapses to one of the two recognizable two-valued forms
     (a clique carrying loops, or looped hubs over a triangle with pendant
-    loop vertices), the finished wiring is a realization stranded away from
-    every max-loop graph and the space is disconnected. Cycles and cliques
-    are caught directly. Exhausting the peel without a hit means connected.
+    loop vertices) and no peeled vertex is wired to one of the residual's
+    lower-degree vertices, the finished wiring is a realization stranded
+    away from every max-loop graph and the space is disconnected. A form
+    with such a peeled edge is not stranded, so peeling goes on past it.
+    Cycles and cliques are caught directly. Exhausting the peel without a
+    hit means connected.
 
     Raises ``NotLoopyGraphical`` for infeasible input.
     """
     ds = [int(d) for d in degrees]
-    if not is_loopy_graphical(ds):
-        raise NotLoopyGraphical(f"{tuple(ds)} is not loopy-graphical")
+    return _peel(ds, max_loop_count(ds))
+
+
+def _peel(ds: list[int], m_star: int) -> ConnectivityReport:
+    """``detect_disconnected`` on a loopy-graphical sequence whose maximum
+    loop count ``m_star`` is already known."""
     n_total = len(ds)
     items = [[d, i] for i, d in enumerate(ds) if d > 0]
     n = len(items)
     if n <= 2:
-        return ConnectivityReport(CONNECTED, "degenerate", f"{n} nonzero degrees")
+        return ConnectivityReport(CONNECTED, "degenerate", f"{n} nonzero degrees", m_star=m_star)
     values = {d for d, _ in items}
     items.sort(key=lambda t: (-t[0], t[1]))
     order = [i for _, i in items]
     if values == {2}:
         witness = _cycle_witness(order, n_total)
-        return _disconnected("cycle", witness, ds)
+        return _disconnected("cycle", witness, ds, m_star)
     if values == {n - 1}:
         witness = LoopyGraph(n_total, _clique_edges(order))
-        return _disconnected("clique", witness, ds)
+        return _disconnected("clique", witness, ds, m_star)
 
     attach: list[tuple[int, int]] = []
     for _ in range(n):
@@ -232,16 +243,18 @@ def detect_disconnected(degrees) -> ConnectivityReport:
                 n_b = sum(1 for d, _ in items if d == b)
                 n_t = len(items)
                 n_a = n_t - n_b
-                if a >= 3 and n_a >= 3:
+                looped_clique = a == b - 2 and a == n_t - 1
+                hub_triangle = b - 2 == n_t - 1 and a - 2 == n_b
+                if a >= 3 and n_a >= 3 and (looped_clique or hub_triangle):
                     verts = [i for _, i in items]  # degree-desc order: b-entries first
-                    if a == b - 2 and a == n_t - 1:
+                    low = set(verts[n_b:])
+                    if not any(u in low or v in low for u, v in attach):
                         edges = set(attach)
-                        edges.update((v, v) for v in verts[:n_b])
-                        edges.update(_clique_edges(verts))
-                        witness = LoopyGraph(n_total, edges)
-                        return _disconnected("looped_clique", witness, ds)
-                    if b - 2 == n_t - 1 and a - 2 == n_b:
-                        edges = set(attach)
+                        if looped_clique:
+                            edges.update((v, v) for v in verts[:n_b])
+                            edges.update(_clique_edges(verts))
+                            witness = LoopyGraph(n_total, edges)
+                            return _disconnected("looped_clique", witness, ds, m_star)
                         for hub in verts[:n_b]:
                             for v in verts:
                                 if hub != v:
@@ -249,39 +262,45 @@ def detect_disconnected(degrees) -> ConnectivityReport:
                         edges.update((v, v) for v in verts[: n_t - 3])
                         edges.update(_clique_edges(verts[n_t - 3:]))
                         witness = LoopyGraph(n_total, edges)
-                        return _disconnected("hub_triangle", witness, ds)
+                        return _disconnected("hub_triangle", witness, ds, m_star)
         if not items:
             break
         min_deg, min_idx = items.pop()
         if min_deg > len(items):
-            return ConnectivityReport(CONNECTED, "peeling", "minimum degree exceeds remaining vertices")
+            return ConnectivityReport(CONNECTED, "peeling", "minimum degree exceeds remaining vertices",
+                                      m_star=m_star)
         for y in range(min_deg):
             items[y][0] -= 1
             if items[y][0] < 0:
-                return ConnectivityReport(CONNECTED, "peeling", "residual degree went negative")
+                return ConnectivityReport(CONNECTED, "peeling", "residual degree went negative",
+                                          m_star=m_star)
             other = items[y][1]
             attach.append((min_idx, other) if min_idx <= other else (other, min_idx))
         items.sort(key=lambda t: (-t[0], t[1]))
-    return ConnectivityReport(CONNECTED, "peeling", "peel exhausted without a stranded form")
+    return ConnectivityReport(CONNECTED, "peeling", "peel exhausted without a stranded form",
+                              m_star=m_star)
 
 
-def _disconnected(detail: str, witness: LoopyGraph, ds: list[int]) -> ConnectivityReport:
+def _disconnected(detail: str, witness: LoopyGraph, ds: list[int], m_star: int) -> ConnectivityReport:
     # The wiring is rebuilt from sequence positions; recompute degrees rather
     # than trusting the index bookkeeping.
     if list(witness.degree_sequence()) != ds:
         raise RuntimeError(
             f"witness degrees {witness.degree_sequence()} do not match input {tuple(ds)}"
         )
-    return ConnectivityReport(DISCONNECTED, "peeling", detail, witness)
+    return ConnectivityReport(DISCONNECTED, "peeling", detail, witness, m_star=m_star)
 
 
 def check_connectivity(degrees) -> ConnectivityReport:
-    """Cheap certificate first, full detection second."""
-    if max_degree_guarantees_connected(degrees):
-        if not is_loopy_graphical(degrees):
-            raise NotLoopyGraphical(f"{tuple(degrees)} is not loopy-graphical")
-        return ConnectivityReport(CONNECTED, "max_degree_bound", "max-degree bound satisfied")
-    return detect_disconnected(degrees)
+    """Cheap certificate first, full detection second; ``max_loop_count``
+    runs once, up front, and raises ``NotLoopyGraphical`` for infeasible
+    input."""
+    ds = [int(d) for d in degrees]
+    m_star = max_loop_count(ds)
+    if max_degree_guarantees_connected(ds):
+        return ConnectivityReport(CONNECTED, "max_degree_bound", "max-degree bound satisfied",
+                                  m_star=m_star)
+    return _peel(ds, m_star)
 
 
 def parse_degree_sequences(text: str) -> list[tuple[int, ...]]:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .degseq import (
-    NotLoopyGraphical,
     detect_disconnected,
     is_loopy_graphical,
     max_degree_guarantees_connected,
@@ -294,13 +293,11 @@ def verify_sequence(ds, max_sum: int = DEFAULT_ENUM_BOUND) -> dict:
     ds = tuple(int(d) for d in ds)
     if sum(ds) > max_sum:
         raise BoundExceeded(f"degree sum {sum(ds)} exceeds bound {max_sum}")
-    if not is_loopy_graphical(ds):
-        raise NotLoopyGraphical(f"{ds} is not loopy-graphical")
+    mstar = max_loop_count(ds)  # raises NotLoopyGraphical for infeasible input
     n = len(ds)
     edge_sets = list(_enumerate_edge_sets(ds))
     count = len(edge_sets)
     set_index = {es: i for i, es in enumerate(edge_sets)}
-    mstar = max_loop_count(ds)
 
     clique_trap = [False] * count
     cycle_trap = [False] * count

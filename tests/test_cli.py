@@ -43,6 +43,30 @@ def test_check_json(capsys):
     assert "witness" not in obj
 
 
+def test_check_json_decides_each_sequence_once(capsys, monkeypatch):
+    import loopygraphs.degseq as degseq
+
+    calls = []
+    real = degseq.max_loop_count
+
+    def counted(degrees):
+        calls.append(tuple(degrees))
+        return real(degrees)
+
+    monkeypatch.setattr(degseq, "max_loop_count", counted)
+    # disconnected, certified by the degree bound, degenerate
+    seqs = [(2, 2, 2, 2), (4, 4, 3, 3, 2, 2, 2), (1, 1)]
+    argv = ["check", "--format", "json"]
+    for ds in seqs:
+        argv += ["--seq", ",".join(map(str, ds))]
+    rc, out, _ = run_cli(capsys, *argv)
+    assert rc == 0
+    assert calls == seqs
+    objs = [json.loads(line) for line in out.strip().splitlines()]
+    assert [obj["method"] for obj in objs] == ["peeling", "max_degree_bound", "degenerate"]
+    assert [obj["m_star"] for obj in objs] == [real(ds) for ds in seqs]
+
+
 def test_check_json_witness_realizes_sequence(capsys):
     rc, out, _ = run_cli(capsys, "check", "--seq", "6,3,3,3,3", "--format", "json")
     assert rc == 0

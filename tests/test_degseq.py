@@ -19,6 +19,7 @@ from loopygraphs.degseq import (
     realize_loopy_graph,
 )
 from loopygraphs.graph import is_in_clique_trap, is_in_cycle_trap
+from loopygraphs.oracle import verify_sequence
 
 
 def naive_simple_graphical(degrees):
@@ -77,6 +78,28 @@ def test_max_loop_count_examples():
     assert max_loop_count((3, 3, 2, 2)) == 4
     assert max_loop_count((1, 1)) == 0
     assert max_loop_count(()) == 0
+
+
+def plain_max_loop_count(degrees):
+    """Scan every loop count from n down, kept as the reference for the
+    shortened scan."""
+    ds = list(degrees)
+    for m in range(len(ds), -1, -1):
+        if is_graphical_with_loops(ds, m):
+            return m
+    raise NotLoopyGraphical(f"no loopy graph realizes {tuple(ds)}")
+
+
+def test_max_loop_count_matches_plain_scan():
+    for k in range(0, 6):
+        for ds in itertools.product(range(6), repeat=k):
+            try:
+                expected = plain_max_loop_count(ds)
+            except NotLoopyGraphical:
+                with pytest.raises(NotLoopyGraphical):
+                    max_loop_count(ds)
+            else:
+                assert max_loop_count(ds) == expected, ds
 
 
 def test_max_loop_count_rejects_infeasible():
@@ -173,6 +196,63 @@ def test_detect_connected_cases():
     assert detect_disconnected((4, 4, 2)).status == CONNECTED
     assert detect_disconnected((3, 3, 2, 2)).status == CONNECTED
     assert detect_disconnected((4, 4, 3, 3, 2, 2, 2)).status == CONNECTED
+
+
+def _seq_id(ds):
+    return ",".join(map(str, ds)) or "empty"
+
+
+# A peeled vertex wired to a lower-degree vertex of a looped-clique or
+# hub-triangle residual leaves a way out; brute force finds one double-swap
+# component for each of these.
+@pytest.mark.parametrize("ds", [
+    (6, 4, 3, 3, 2), (7, 4, 3, 3, 2, 1), (6, 4, 4, 3, 3), (7, 5, 3, 3, 2, 2),
+    (7, 4, 4, 3, 3, 1), (7, 4, 4, 3, 2, 2), (7, 4, 3, 3, 3, 2),
+    (8, 4, 3, 3, 2, 1, 1), (7, 5, 4, 4, 3, 3),
+], ids=_seq_id)
+def test_detect_residual_form_with_peeled_escape_is_connected(ds):
+    assert detect_disconnected(ds).status == CONNECTED
+    assert check_connectivity(ds).status == CONNECTED
+    assert verify_sequence(ds, max_sum=sum(ds))["checks"]["e"]
+
+
+# Peeled vertices wired only to the residual's hubs keep the form stranded.
+@pytest.mark.parametrize("ds,detail", [
+    ((6, 3, 3, 3, 1), "looped_clique"),
+    ((7, 3, 3, 3, 1, 1), "looped_clique"),
+    ((8, 3, 3, 3, 1, 1, 1), "looped_clique"),
+    ((7, 3, 3, 3, 3, 1), "hub_triangle"),
+], ids=lambda p: _seq_id(p) if isinstance(p, tuple) else p)
+def test_detect_peeled_stranded_forms(ds, detail):
+    report = detect_disconnected(ds)
+    assert (report.status, report.detail) == (DISCONNECTED, detail)
+    report.witness.validate()
+    assert report.witness.degree_sequence() == ds
+    assert check_connectivity(ds).witness == report.witness
+    assert verify_sequence(ds, max_sum=sum(ds))["checks"]["e"]
+
+
+@pytest.mark.parametrize("ds", [
+    (2, 2, 2, 2), (5, 3, 3, 3), (6, 3, 3, 3, 3), (4, 4, 3, 3, 2, 2, 2),
+    (3, 3, 2, 2), (1, 1), (2, 0), (), (6, 4, 3, 3, 2),
+], ids=_seq_id)
+def test_reports_carry_m_star(ds):
+    assert check_connectivity(ds).m_star == max_loop_count(ds)
+    assert detect_disconnected(ds).m_star == max_loop_count(ds)
+
+
+def test_degseq_decides_without_is_loopy_graphical(monkeypatch):
+    import loopygraphs.degseq as degseq
+
+    def forbidden(_):
+        raise AssertionError("is_loopy_graphical called")
+
+    monkeypatch.setattr(degseq, "is_loopy_graphical", forbidden)
+    for ds in [(2, 2, 2, 2), (4, 4, 3, 3, 2, 2, 2), (6, 3, 3, 3, 1), (1, 1)]:
+        degseq.check_connectivity(ds)
+        degseq.detect_disconnected(ds)
+    with pytest.raises(NotLoopyGraphical):
+        degseq.check_connectivity((3,) + (2,) * 8)
 
 
 def test_detect_degenerate_cases():
