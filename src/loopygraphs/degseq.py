@@ -210,6 +210,12 @@ def detect_disconnected(degrees) -> ConnectivityReport:
     Cycles and cliques are caught directly. Exhausting the peel without a
     hit means connected.
 
+    Ties go by (-degree, index): each step removes the highest-index vertex
+    of least residual degree and wires it to the highest-degree vertices,
+    lower index first. The witness is printed, so this order is part of the
+    output. The residual lives in degree buckets, so the peel makes
+    O(sum of degrees x log n) comparisons.
+
     Raises ``NotLoopyGraphical`` for infeasible input.
     """
     ds = [int(d) for d in degrees]
@@ -218,65 +224,90 @@ def detect_disconnected(degrees) -> ConnectivityReport:
 
 def _peel(ds: list[int], m_star: int) -> ConnectivityReport:
     """``detect_disconnected`` on a loopy-graphical sequence whose maximum
-    loop count ``m_star`` is already known."""
+    loop count ``m_star`` is already known.
+
+    The residual is kept as ``degree -> vertex indices, ascending`` plus the
+    sorted distinct degrees, so a step costs only the vertices it rewires.
+    Vertices that reach degree 0 stay in the residual until peeled.
+    """
     n_total = len(ds)
-    items = [[d, i] for i, d in enumerate(ds) if d > 0]
-    n = len(items)
+    buckets: dict[int, list[int]] = {}
+    for i, d in enumerate(ds):
+        if d > 0:
+            buckets.setdefault(d, []).append(i)
+    degrees = sorted(buckets)
+    n = sum(map(len, buckets.values()))
     if n <= 2:
         return ConnectivityReport(CONNECTED, "degenerate", f"{n} nonzero degrees", m_star=m_star)
-    values = {d for d, _ in items}
-    items.sort(key=lambda t: (-t[0], t[1]))
-    order = [i for _, i in items]
-    if values == {2}:
-        witness = _cycle_witness(order, n_total)
-        return _disconnected("cycle", witness, ds, m_star)
-    if values == {n - 1}:
-        witness = LoopyGraph(n_total, _clique_edges(order))
+    if degrees == [2]:
+        return _disconnected("cycle", _cycle_witness(buckets[2], n_total), ds, m_star)
+    if degrees == [n - 1]:
+        witness = LoopyGraph(n_total, _clique_edges(buckets[n - 1]))
         return _disconnected("clique", witness, ds, m_star)
 
     attach: list[tuple[int, int]] = []
-    for _ in range(n):
-        if len(items) >= 2:
-            vals = sorted({d for d, _ in items})
-            if len(vals) == 2:
-                a, b = vals
-                n_b = sum(1 for d, _ in items if d == b)
-                n_t = len(items)
-                n_a = n_t - n_b
-                looped_clique = a == b - 2 and a == n_t - 1
-                hub_triangle = b - 2 == n_t - 1 and a - 2 == n_b
-                if a >= 3 and n_a >= 3 and (looped_clique or hub_triangle):
-                    verts = [i for _, i in items]  # degree-desc order: b-entries first
-                    low = set(verts[n_b:])
-                    if not any(u in low or v in low for u, v in attach):
-                        edges = set(attach)
-                        if looped_clique:
-                            edges.update((v, v) for v in verts[:n_b])
-                            edges.update(_clique_edges(verts))
-                            witness = LoopyGraph(n_total, edges)
-                            return _disconnected("looped_clique", witness, ds, m_star)
-                        for hub in verts[:n_b]:
-                            for v in verts:
-                                if hub != v:
-                                    edges.add((hub, v) if hub <= v else (v, hub))
-                        edges.update((v, v) for v in verts[: n_t - 3])
-                        edges.update(_clique_edges(verts[n_t - 3:]))
+    n_t = n
+    while n_t:
+        if len(degrees) == 2:
+            a, b = degrees
+            n_b = len(buckets[b])
+            n_a = n_t - n_b
+            looped_clique = a == b - 2 and a == n_t - 1
+            hub_triangle = b - 2 == n_t - 1 and a - 2 == n_b
+            if a >= 3 and n_a >= 3 and (looped_clique or hub_triangle):
+                verts = buckets[b] + buckets[a]  # degree-desc order: b-entries first
+                low = set(verts[n_b:])
+                if not any(u in low or v in low for u, v in attach):
+                    edges = set(attach)
+                    if looped_clique:
+                        edges.update((v, v) for v in verts[:n_b])
+                        edges.update(_clique_edges(verts))
                         witness = LoopyGraph(n_total, edges)
-                        return _disconnected("hub_triangle", witness, ds, m_star)
-        if not items:
-            break
-        min_deg, min_idx = items.pop()
-        if min_deg > len(items):
+                        return _disconnected("looped_clique", witness, ds, m_star)
+                    for hub in verts[:n_b]:
+                        for v in verts:
+                            if hub != v:
+                                edges.add((hub, v) if hub <= v else (v, hub))
+                    edges.update((v, v) for v in verts[: n_t - 3])
+                    edges.update(_clique_edges(verts[n_t - 3:]))
+                    witness = LoopyGraph(n_total, edges)
+                    return _disconnected("hub_triangle", witness, ds, m_star)
+        # Peel order is (-degree, index): the last vertex of the lowest bucket
+        # goes, wired to the first min_deg vertices from the top.
+        min_deg = degrees[0]
+        lowest = buckets[min_deg]
+        min_idx = lowest.pop()
+        if not lowest:
+            del buckets[min_deg]
+            del degrees[0]
+        n_t -= 1
+        if min_deg > n_t:
             return ConnectivityReport(CONNECTED, "peeling", "minimum degree exceeds remaining vertices",
                                       m_star=m_star)
-        for y in range(min_deg):
-            items[y][0] -= 1
-            if items[y][0] < 0:
-                return ConnectivityReport(CONNECTED, "peeling", "residual degree went negative",
-                                          m_star=m_star)
-            other = items[y][1]
-            attach.append((min_idx, other) if min_idx <= other else (other, min_idx))
-        items.sort(key=lambda t: (-t[0], t[1]))
+        # choose all rewired vertices before moving any, so none is taken twice
+        moved = []  # (old degree, vertices), top bucket first
+        need = min_deg
+        while need:
+            d = degrees[-1]
+            bucket = buckets[d]
+            if len(bucket) <= need:
+                del buckets[d]
+                degrees.pop()
+                taken = bucket
+            else:
+                taken = bucket[:need]
+                del bucket[:need]
+            need -= len(taken)
+            moved.append((d, taken))
+            attach.extend((min_idx, v) if min_idx <= v else (v, min_idx) for v in taken)
+        for d, taken in moved:
+            dest = buckets.get(d - 1)
+            if dest is None:
+                buckets[d - 1] = taken
+                bisect.insort(degrees, d - 1)
+            else:
+                for v in taken:
+                    bisect.insort(dest, v)
     return ConnectivityReport(CONNECTED, "peeling", "peel exhausted without a stranded form",
                               m_star=m_star)
 

@@ -1,6 +1,9 @@
 """Command line behavior: output formats, stream separation, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -293,3 +296,24 @@ def test_unknown_command_exits_via_argparse(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def run_module(module, *argv):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, "-m", module, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_python_m_package_runs_cli():
+    proc = run_module("loopygraphs", "check", "--seq", "2,2,2,2")
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("2,2,2,2: disconnected [peeling] cycle")
+
+
+def test_python_m_cli_module_runs_cli():
+    proc = run_module("loopygraphs.cli", "check", "--seq", "1,1,1")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: no loopy graph realizes")

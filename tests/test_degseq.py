@@ -1,6 +1,9 @@
 """Feasibility, realization, and swap-space connectivity of degree sequences."""
 
+import hashlib
 import itertools
+import json
+import random
 
 import pytest
 
@@ -19,7 +22,7 @@ from loopygraphs.degseq import (
     realize_loopy_graph,
 )
 from loopygraphs.graph import is_in_clique_trap, is_in_cycle_trap
-from loopygraphs.oracle import verify_sequence
+from loopygraphs.oracle import generate_sequences, verify_sequence
 
 
 def naive_simple_graphical(degrees):
@@ -253,6 +256,91 @@ def test_degseq_decides_without_is_loopy_graphical(monkeypatch):
         degseq.detect_disconnected(ds)
     with pytest.raises(NotLoopyGraphical):
         degseq.check_connectivity((3,) + (2,) * 8)
+
+
+# Which equal-degree vertex the peel rewires, and where it sits in the
+# residual, decides the printed witness: ties go by (-degree, index).
+@pytest.mark.parametrize("ds,detail,edges", [
+    ((3, 3, 3, 1, 3, 7), "hub_triangle",
+     [(0, 0), (0, 5), (1, 2), (1, 4), (1, 5), (2, 4), (2, 5), (3, 5), (4, 5), (5, 5)]),
+    ((3, 3, 1, 8, 3, 3, 1), "hub_triangle",
+     [(0, 0), (0, 3), (1, 3), (1, 4), (1, 5), (2, 3), (3, 3), (3, 4), (3, 5), (3, 6), (4, 5)]),
+    ((1, 1, 3, 3, 3, 3, 9, 1), "hub_triangle",
+     [(0, 6), (1, 6), (2, 2), (2, 6), (3, 4), (3, 5), (3, 6), (4, 5), (4, 6), (5, 6), (6, 6),
+      (6, 7)]),
+    ((3, 9, 3, 3, 3, 3, 3, 1), "hub_triangle",
+     [(0, 0), (0, 1), (1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (1, 7), (2, 2), (3, 3),
+      (4, 5), (4, 6), (5, 6)]),
+    ((7, 4, 1, 1, 4, 4, 8, 1), "looped_clique",
+     [(0, 0), (0, 1), (0, 3), (0, 4), (0, 5), (0, 6), (1, 4), (1, 5), (1, 6), (2, 6), (4, 5),
+      (4, 6), (5, 6), (6, 6), (6, 7)]),
+    ((5, 5, 1, 1, 9, 8, 5, 1, 5), "looped_clique",
+     [(0, 1), (0, 4), (0, 5), (0, 6), (0, 8), (1, 4), (1, 5), (1, 6), (1, 8), (2, 5), (3, 4),
+      (4, 4), (4, 5), (4, 6), (4, 7), (4, 8), (5, 5), (5, 6), (5, 8), (6, 8)]),
+], ids=lambda p: _seq_id(p) if isinstance(p, tuple) else None)
+def test_detect_witness_follows_tie_order(ds, detail, edges):
+    report = detect_disconnected(ds)
+    assert (report.status, report.detail) == (DISCONNECTED, detail)
+    assert sorted(report.witness.edges) == edges
+
+
+def _pinned_sequences():
+    """Every small sequence in sorted order and shuffled with a zero added,
+    plus about 30 large ones from a fixed seed: heavy-tailed past the degree
+    bound with many degree-1 entries, near-regular, and the four named forms
+    at a few sizes, and 300 small two-valued forms with pendant vertices,
+    all shuffled."""
+    rng = random.Random(6061)
+    small = [list(s) for s in generate_sequences(26) if len(s) <= 8]
+    seqs = small + [rng.sample(s + [0], len(s) + 1) for s in small]
+    for n in (200, 300, 500, 700, 900, 1100, 1300, 1500):
+        while True:
+            ones = [1] * (n * 56 // 100)
+            rest = [min(n // 5, int(2 * (1.0 - rng.random()) ** (-1 / 1.2)))
+                    for _ in range(n - len(ones))]
+            ds = ones + rest
+            ds[-1] += sum(ds) % 2
+            rng.shuffle(ds)
+            if not max_degree_guarantees_connected(ds) and is_loopy_graphical(ds):
+                seqs.append(ds)
+                break
+    for d, n in ((80, 1500), (40, 600), (9, 200)):
+        seqs.append([d] * n)
+        jitter = [d + rng.choice((-1, 0, 1)) for _ in range(n)]
+        jitter[0] += sum(jitter) % 2
+        seqs.append(jitter)
+    forms = [[2] * n for n in (3, 40, 300)]
+    forms += [[n - 1] * n for n in (4, 9, 25)]
+    forms += [[nt + 1] * nb + [nt - 1] * (nt - nb) for nt, nb in ((4, 1), (9, 4), (16, 13))]
+    forms += [[nb + na + 1] * nb + [nb + 2] * na for nb, na in ((1, 4), (3, 7), (6, 12))]
+    # forms with pendant vertices wired to random members, and zeros: which
+    # equal-degree vertex is peeled or rewired shows in these witnesses
+    for _ in range(300):
+        nt = rng.randint(4, 12)
+        nb = rng.randint(1, nt - 3)
+        if rng.random() < 0.5:  # a clique on nt vertices, nb of them looped
+            ds = [nt + 1] * nb + [nt - 1] * (nt - nb)
+        else:  # nb looped hubs over nt - nb others
+            ds = [nt + 1] * nb + [nb + 2] * (nt - nb)
+        for _ in range(rng.randint(0, 4)):
+            ds[rng.randrange(len(ds))] += 1
+            ds.append(1)
+        forms.append(ds + [0] * rng.randint(0, 2))
+    for ds in forms:
+        rng.shuffle(ds)
+    return seqs + [ds for ds in forms if is_loopy_graphical(ds)]
+
+
+def test_detect_output_is_pinned():
+    """Verdicts and witnesses of the peel, pinned by a digest recorded from
+    the sort-per-step peel that the degree-bucket peel replaced."""
+    rows = []
+    for ds in _pinned_sequences():
+        r = detect_disconnected(ds)
+        edges = sorted(r.witness.edges) if r.witness is not None else None
+        rows.append([ds, r.status, r.method, r.detail, r.m_star, edges])
+    digest = hashlib.sha256(json.dumps(rows, separators=(",", ":")).encode()).hexdigest()
+    assert digest == "4a4201bb7127d9a3c32939e4c19dc6a2df3acf8af58c2d0db3a2e8f40ddd77ca"
 
 
 def test_detect_degenerate_cases():
