@@ -70,18 +70,6 @@ from .oracle import (
     to_dot,
     verify_sequence,
 )
-from .swaps import (
-    DoubleSwap,
-    EdgeNotPresent,
-    InvalidSwap,
-    SwapOutcome,
-    TriangleLoopSwap,
-    apply_double_swap,
-    apply_triangle_swap,
-    check_double_swap,
-    check_triangle_swap,
-    enumerate_neighbors,
-)
 
 __version__ = "0.1.0"
 
@@ -112,17 +100,6 @@ __all__ = [
     "detect_disconnected",
     "check_connectivity",
     "parse_degree_sequences",
-    # swaps
-    "DoubleSwap",
-    "TriangleLoopSwap",
-    "SwapOutcome",
-    "EdgeNotPresent",
-    "InvalidSwap",
-    "check_double_swap",
-    "apply_double_swap",
-    "check_triangle_swap",
-    "apply_triangle_swap",
-    "enumerate_neighbors",
     # sampling
     "ChainConfig",
     "ChainStats",

@@ -127,6 +127,8 @@ def cmd_sample(args) -> int:
     seqs = _sequences(args)
     if len(seqs) != 1:
         raise UsageError("sample takes exactly one degree sequence")
+    if args.count < 0:
+        raise UsageError("--count must be >= 0")
     ds = seqs[0]
     if args.epsilon == "auto":
         eps = default_triangle_prob(ds)
@@ -241,7 +243,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--count", type=int, default=1, help="number of samples (default 1)")
     p.add_argument("--epsilon", default="auto",
-                   help="triangle move probability in [0,1], or 'auto' (default)")
+                   help="triangle move probability in [0, 1), or 'auto' (default)")
     p.add_argument("--mode", choices=("vertex", "stub"), default="vertex",
                    help="vertex: uniform target; stub: weight 2**(-loops)")
     p.add_argument("--seed", type=int, help="RNG seed for reproducible runs")

@@ -177,12 +177,6 @@ class LoopyChain:
         """Immutable snapshot of the state."""
         return LoopyGraph.from_edge_set(self.n, frozenset(self._edges))
 
-    def step(self) -> bool:
-        """One proposal; True when it was accepted."""
-        before = self.stats.accepted
-        self.run(1)
-        return self.stats.accepted != before
-
     def run(self, steps: int, occupancy: dict | None = None, stride: int = 1) -> ChainStats:
         """Advance ``steps`` proposals and return the running totals.
 

@@ -187,8 +187,7 @@ def build_swap_graph(graphs: list[LoopyGraph], include_triangle: bool = True) ->
             ufd.union(i, j)
             uft.union(i, j)
         if include_triangle:
-            tn = _neighbor_indices(set_index,
-                                   triangle_neighbor_edge_sets(g.n, edge_list, g.edges))
+            tn = _neighbor_indices(set_index, triangle_neighbor_edge_sets(edge_list, g.edges))
             tn.discard(i)
             triangle_adj.append(tuple(sorted(tn)))
             for j in tn:
@@ -324,7 +323,7 @@ def verify_sequence(ds, max_sum: int = DEFAULT_ENUM_BOUND) -> dict:
             uft.union(i, j)
             if trap_i and (clique_trap[i] != clique_trap[j] or cycle_trap[i] != cycle_trap[j]):
                 closure_ok = False
-        for nb in triangle_neighbor_edge_sets(n, edge_list, es):
+        for nb in triangle_neighbor_edge_sets(edge_list, es):
             j = set_index.get(nb)
             if j is None:
                 raise UnknownNeighbor(f"swap result missing from enumeration: {sorted(nb)}")

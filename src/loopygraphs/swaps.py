@@ -1,183 +1,19 @@
-"""Degree-preserving moves: double edge swaps and triangle/loop exchanges.
+"""One-move neighbourhoods: double edge swaps and triangle/loop exchanges.
 
 A double swap removes two distinct edges and reconnects their four endpoint
 stubs under one of two pairings. A triangle/loop exchange replaces a triangle
 with self-loops at its three vertices, or the reverse. Both preserve every
-vertex degree; both are their own inverse.
+vertex degree; both are their own inverse. The generators here list every
+edge set one valid move away; ``LoopyChain.run`` applies the same rules one
+random proposal at a time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
-from .graph import Edge, LoopyGraph
+__all__ = ["double_neighbor_edge_sets", "triangle_neighbor_edge_sets"]
 
-__all__ = [
-    "EdgeNotPresent",
-    "InvalidSwap",
-    "DoubleSwap",
-    "TriangleLoopSwap",
-    "SwapOutcome",
-    "check_double_swap",
-    "apply_double_swap",
-    "check_triangle_swap",
-    "apply_triangle_swap",
-    "enumerate_neighbors",
-]
-
-
-class EdgeNotPresent(ValueError):
-    """A proposal references an edge the graph does not contain."""
-
-
-class InvalidSwap(ValueError):
-    """Attempted to apply a rejected proposal."""
-
-
-@dataclass(frozen=True)
-class DoubleSwap:
-    """Two distinct edges plus a pairing choice ("A" or "B").
-
-    With normalized edges (u, v) and (x, y), pairing "A" proposes the
-    replacements (u, x), (v, y) and pairing "B" proposes (u, y), (v, x).
-    """
-
-    edge1: Edge
-    edge2: Edge
-    pairing: str = "A"
-
-    def __post_init__(self):
-        if self.pairing not in ("A", "B"):
-            raise ValueError(f"pairing must be 'A' or 'B', got {self.pairing!r}")
-        object.__setattr__(self, "edge1", _norm(*self.edge1))
-        object.__setattr__(self, "edge2", _norm(*self.edge2))
-        if self.edge1 == self.edge2:
-            raise ValueError("double swap needs two distinct edges")
-
-
-@dataclass(frozen=True)
-class TriangleLoopSwap:
-    """Three distinct edges: either a triangle or three self-loops."""
-
-    edge1: Edge
-    edge2: Edge
-    edge3: Edge
-
-    def __post_init__(self):
-        object.__setattr__(self, "edge1", _norm(*self.edge1))
-        object.__setattr__(self, "edge2", _norm(*self.edge2))
-        object.__setattr__(self, "edge3", _norm(*self.edge3))
-        if len({self.edge1, self.edge2, self.edge3}) != 3:
-            raise ValueError("triangle/loop swap needs three distinct edges")
-
-
-# Rejection reasons.
-NOOP = "noop"
-DUPLICATE_PAIR = "duplicate_pair"
-EDGE_EXISTS = "edge_exists"
-LOOP_EXISTS = "loop_exists"
-NOT_TRIANGLE_OR_LOOPS = "not_triangle_or_loops"
-
-
-@dataclass(frozen=True)
-class SwapOutcome:
-    """Validity verdict for a proposal; valid outcomes list the edge delta."""
-
-    valid: bool
-    removed: tuple[Edge, ...] = ()
-    added: tuple[Edge, ...] = ()
-    reason: str = ""
-
-
-def _norm(a: int, b: int) -> Edge:
-    return (a, b) if a <= b else (b, a)
-
-
-def double_swap_replacements(edge1: Edge, edge2: Edge, pairing: str) -> tuple[Edge, Edge]:
-    """The two normalized pairs a pairing proposes (no validity checking).
-
-    When one edge is a self-loop both pairings propose the same pairs.
-    """
-    u, v = edge1
-    x, y = edge2
-    if pairing == "B":
-        x, y = y, x
-    return _norm(u, x), _norm(v, y)
-
-
-def check_double_swap(graph: LoopyGraph, swap: DoubleSwap) -> SwapOutcome:
-    """Classify a double-swap proposal against ``graph``.
-
-    Rejections: both replacements identical (two self-loops always land
-    here), replacement reproduces the original edge set, or a replacement
-    already exists elsewhere in the graph.
-    """
-    e1 = _norm(*swap.edge1)
-    e2 = _norm(*swap.edge2)
-    for e in (e1, e2):
-        if e not in graph.edges:
-            raise EdgeNotPresent(f"edge {e} not in graph")
-    a1, a2 = double_swap_replacements(e1, e2, swap.pairing)
-    removed = (e1, e2)
-    if a1 == a2:
-        return SwapOutcome(False, removed, (a1, a2), DUPLICATE_PAIR)
-    if {a1, a2} == {e1, e2}:
-        return SwapOutcome(False, removed, (a1, a2), NOOP)
-    if a1 in graph.edges or a2 in graph.edges:
-        return SwapOutcome(False, removed, (a1, a2), EDGE_EXISTS)
-    return SwapOutcome(True, removed, (a1, a2))
-
-
-def apply_double_swap(graph: LoopyGraph, swap: DoubleSwap) -> LoopyGraph:
-    outcome = check_double_swap(graph, swap)
-    if not outcome.valid:
-        raise InvalidSwap(f"double swap rejected: {outcome.reason}")
-    return _apply(graph, outcome)
-
-
-def check_triangle_swap(graph: LoopyGraph, swap: TriangleLoopSwap) -> SwapOutcome:
-    """Classify a triangle/loop exchange.
-
-    Three self-loops become a triangle when none of the three connecting
-    edges exists; a triangle becomes three self-loops when none of its
-    vertices already carries one. Everything else is rejected.
-    """
-    es = tuple(_norm(*e) for e in (swap.edge1, swap.edge2, swap.edge3))
-    for e in es:
-        if e not in graph.edges:
-            raise EdgeNotPresent(f"edge {e} not in graph")
-    loops = [e for e in es if e[0] == e[1]]
-    if len(loops) == 3:
-        p, q, r = sorted(e[0] for e in es)
-        added = (_norm(p, q), _norm(p, r), _norm(q, r))
-        if any(a in graph.edges for a in added):
-            return SwapOutcome(False, es, added, EDGE_EXISTS)
-        return SwapOutcome(True, es, added)
-    if not loops:
-        verts = {v for e in es for v in e}
-        if len(verts) != 3:
-            return SwapOutcome(False, es, (), NOT_TRIANGLE_OR_LOOPS)
-        added = tuple((v, v) for v in sorted(verts))
-        if any(a in graph.edges for a in added):
-            return SwapOutcome(False, es, added, LOOP_EXISTS)
-        return SwapOutcome(True, es, added)
-    return SwapOutcome(False, es, (), NOT_TRIANGLE_OR_LOOPS)
-
-
-def apply_triangle_swap(graph: LoopyGraph, swap: TriangleLoopSwap) -> LoopyGraph:
-    outcome = check_triangle_swap(graph, swap)
-    if not outcome.valid:
-        raise InvalidSwap(f"triangle/loop swap rejected: {outcome.reason}")
-    return _apply(graph, outcome)
-
-
-def _apply(graph: LoopyGraph, outcome: SwapOutcome) -> LoopyGraph:
-    edges = graph.edges.difference(outcome.removed).union(outcome.added)
-    return LoopyGraph.from_edge_set(graph.n, edges)
-
-
-# -- one-move neighborhoods -------------------------------------------------
 
 def double_neighbor_edge_sets(edge_list, edge_set):
     """Edge sets one valid double swap away. May yield repeats (a swap that
@@ -195,7 +31,7 @@ def double_neighbor_edge_sets(edge_list, edge_set):
                 yield edge_set.difference((edge_list[i], edge_list[j])).union((a1, a2))
 
 
-def triangle_neighbor_edge_sets(n, edge_list, edge_set):
+def triangle_neighbor_edge_sets(edge_list, edge_set):
     """Edge sets one valid triangle/loop exchange away."""
     loops = sorted(u for u, v in edge_list if u == v)
     for p, q, r in combinations(loops, 3):
@@ -227,21 +63,6 @@ def triangle_neighbor_edge_sets(n, edge_list, edge_set):
                 continue
             if (u, u) in edge_set or (v, v) in edge_set or (w, w) in edge_set:
                 continue
-            removed = ((u, v), _norm(u, w), _norm(v, w))
+            # u < v < w, so all three triangle edges are already normalized
+            removed = ((u, v), (u, w), (v, w))
             yield edge_set.difference(removed).union(((u, u), (v, v), (w, w)))
-
-
-def enumerate_neighbors(graph: LoopyGraph, include_triangle: bool = True) -> list[LoopyGraph]:
-    """Distinct graphs reachable by one valid move, excluding ``graph`` itself."""
-    edge_list = sorted(graph.edges)
-    seen = {graph.edges}
-    out = []
-    sources = [double_neighbor_edge_sets(edge_list, graph.edges)]
-    if include_triangle:
-        sources.append(triangle_neighbor_edge_sets(graph.n, edge_list, graph.edges))
-    for source in sources:
-        for es in source:
-            if es not in seen:
-                seen.add(es)
-                out.append(LoopyGraph.from_edge_set(graph.n, es))
-    return out

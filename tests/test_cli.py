@@ -205,6 +205,13 @@ def test_sample_requires_single_sequence(capsys):
     assert rc == 2
 
 
+def test_sample_negative_count(capsys):
+    rc, out, err = run_cli(capsys, "sample", "--seq", "3,3,2,2", "--count", "-1")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and "--count" in err
+
+
 def test_sample_stats_follow_output_to_file(tmp_path, capsys):
     out_path = tmp_path / "samples.txt"
     rc, out, err = run_cli(capsys, "sample", "--seq", "3,3,2,2", "--count", "2",

@@ -1,17 +1,16 @@
-"""Chain correctness: an exact transition-matrix audit of the proposal kernel
+"""Chain correctness: an exact transition-matrix audit of ``LoopyChain.run``
 plus behavioral tests for configuration, reproducibility, and accounting.
 
-The audit rebuilds the per-step transition probabilities with rational
-arithmetic, mirroring the sampler's selection rules one-for-one (ordered edge
-pairs with an orientation bit, ordered edge triples, the same validity checks
-and acceptance filters), and then verifies stationarity through exact detailed
-balance against each mode's target weights. Any bias in the chain kernel shows
-up here as an unbalanced state pair.
+The audit drives the real chain one step from every state of a small space
+under every draw a step can make, weighs each outcome with rational
+arithmetic, and then verifies stationarity through exact detailed balance
+against each mode's target weights. Any bias in the chain kernel shows up here
+as an unbalanced state pair, and any move the chain makes or misses that the
+neighbour generators do not shows up as a support mismatch.
 """
 
 from collections import deque
 from fractions import Fraction
-from itertools import permutations
 
 import numpy as np
 import pytest
@@ -34,114 +33,7 @@ from loopygraphs.mcmc import (
     sample_stream,
 )
 from loopygraphs.oracle import enumerate_loopy_graphs, stationary_distribution
-
-
-def kernel_matrix(graphs, mode, eps):
-    """Exact one-step transition matrix of the chain over an enumerated space.
-
-    ``eps`` must be a Fraction so every probability stays rational.
-    """
-    states = [tuple(sorted(g.edges)) for g in graphs]
-    index = {s: i for i, s in enumerate(states)}
-    m = len(states[0])
-    size = len(states)
-    P = [[Fraction(0)] * size for _ in range(size)]
-    pair_p = (1 - eps) * Fraction(1, m * (m - 1) * 2)
-    tri_p = eps * Fraction(1, m * (m - 1) * (m - 2)) if m >= 3 else None
-    for a, es in enumerate(states):
-        eset = set(es)
-        row = P[a]
-        self_mass = Fraction(0)
-        for e1, e2 in permutations(es, 2):
-            for bit in (0, 1):
-                x, y = (e2[1], e2[0]) if bit else e2
-                p, q = e1
-                a1 = (p, x) if p <= x else (x, p)
-                a2 = (q, y) if q <= y else (y, q)
-                if a1 == a2 or a1 in eset or a2 in eset:
-                    self_mass += pair_p
-                    continue
-                target = index[tuple(sorted((eset - {e1, e2}) | {a1, a2}))]
-                sel_loops = (p == q) + (e2[0] == e2[1])
-                if mode == "vertex" and sel_loops == 1:
-                    row[target] += pair_p / 2
-                    self_mass += pair_p / 2
-                else:
-                    row[target] += pair_p
-        if m >= 3:
-            for e1, e2, e3 in permutations(es, 3):
-                nloops = (e1[0] == e1[1]) + (e2[0] == e2[1]) + (e3[0] == e3[1])
-                if nloops == 3:
-                    u, v, w = sorted((e1[0], e2[0], e3[0]))
-                    tri = {(u, v), (u, w), (v, w)}
-                    if tri & eset:
-                        self_mass += tri_p
-                        continue
-                    target = index[tuple(sorted((eset - {e1, e2, e3}) | tri))]
-                    row[target] += tri_p
-                elif nloops == 0:
-                    verts = {e1[0], e1[1], e2[0], e2[1], e3[0], e3[1]}
-                    if len(verts) != 3:
-                        self_mass += tri_p
-                        continue
-                    loops = {(v, v) for v in verts}
-                    if loops & eset:
-                        self_mass += tri_p
-                        continue
-                    target = index[tuple(sorted((eset - {e1, e2, e3}) | loops))]
-                    if mode == "stub":
-                        row[target] += tri_p * Fraction(1, 8)
-                        self_mass += tri_p * Fraction(7, 8)
-                    else:
-                        row[target] += tri_p
-                else:
-                    self_mass += tri_p
-        else:
-            self_mass += eps
-        row[a] += self_mass
-    return P
-
-
-def target_weights(graphs, mode):
-    if mode == "vertex":
-        return [Fraction(1)] * len(graphs)
-    return [Fraction(1, 2 ** g.loop_count()) for g in graphs]
-
-
-@pytest.mark.parametrize("ds,mode,eps", [
-    ((2, 2, 2), "vertex", Fraction(1, 2)),
-    ((2, 2, 2), "stub", Fraction(1, 2)),
-    ((2, 2, 2, 2), "vertex", Fraction(1, 10)),
-    ((2, 2, 2, 2), "stub", Fraction(1, 10)),
-    ((3, 3, 2, 2), "vertex", Fraction(1, 10)),
-    ((3, 3, 2, 2), "stub", Fraction(0)),
-    ((5, 3, 3, 3), "vertex", Fraction(1, 3)),
-    ((5, 3, 3, 3), "stub", Fraction(1, 3)),
-])
-def test_detailed_balance_exact(ds, mode, eps):
-    graphs = enumerate_loopy_graphs(ds)
-    P = kernel_matrix(graphs, mode, eps)
-    w = target_weights(graphs, mode)
-    for row in P:
-        assert sum(row) == 1
-    n = len(graphs)
-    for a in range(n):
-        for b in range(a + 1, n):
-            assert w[a] * P[a][b] == w[b] * P[b][a], (a, b)
-
-
-def test_kernel_matrix_reaches_everything():
-    graphs = enumerate_loopy_graphs((2, 2, 2, 2))
-    P = kernel_matrix(graphs, "vertex", Fraction(1, 10))
-    reached = {0}
-    frontier = [0]
-    while frontier:
-        a = frontier.pop()
-        for b, p in enumerate(P[a]):
-            if p > 0 and b not in reached:
-                reached.add(b)
-                frontier.append(b)
-    assert reached == set(range(len(graphs)))
+from loopygraphs.swaps import double_neighbor_edge_sets, triangle_neighbor_edge_sets
 
 
 class ScriptedRNG:
@@ -161,6 +53,95 @@ class ScriptedRNG:
             assert low <= v < high, (v, low, high)
             out.append(v)
         return np.array(out)
+
+
+# values of the acceptance coin u2 on either side of each mode's threshold
+# (1/2 in vertex mode, 1/8 in stub mode), with the probability of that side
+COIN_OUTCOMES = {
+    "vertex": ((0.25, Fraction(1, 2)), (0.75, Fraction(1, 2))),
+    "stub": ((0.0625, Fraction(1, 8)), (0.5, Fraction(7, 8))),
+}
+
+
+def kernel_matrix(graphs, mode, eps):
+    """Exact one-step transition matrix of ``LoopyChain`` over an enumerated
+    space, built by running the chain once per draw it can make.
+
+    A step draws u1, three raw indices (i, j, k), a pairing bit and the coin
+    u2. Every (i, j, bit) is run as a double swap (u1 = eps) and, when eps > 0,
+    every (i, j, k) as a triangle/loop exchange (u1 = 0), each under both coin
+    outcomes. ``eps`` must be a Fraction so every probability stays rational.
+    """
+    index = {g.edges: a for a, g in enumerate(graphs)}
+    m = len(graphs[0].edges)
+    k_span = m - 2 if m > 2 else 1
+    draws = [(float(eps), (i, j, 0, bit), (1 - eps) / (m * (m - 1) * 2))
+             for i in range(m) for j in range(m - 1) for bit in (0, 1)]
+    if eps > 0:
+        draws += [(0.0, (i, j, k, 0), eps / (m * (m - 1) * k_span))
+                  for i in range(m) for j in range(m - 1) for k in range(k_span)]
+    cfg = ChainConfig(triangle_prob=float(eps), mode=mode)
+    P = [[Fraction(0)] * len(graphs) for _ in graphs]
+    for a, g in enumerate(graphs):
+        for u1, ints, p in draws:
+            for u2, q in COIN_OUTCOMES[mode]:
+                chain = LoopyChain(g, cfg, rng=ScriptedRNG([u1, u2], ints))
+                chain.run(1)
+                P[a][index[chain.current().edges]] += p * q
+    return P
+
+
+def target_weights(graphs, mode):
+    if mode == "vertex":
+        return [Fraction(1)] * len(graphs)
+    return [Fraction(1, 2 ** g.loop_count()) for g in graphs]
+
+
+@pytest.mark.parametrize("ds,mode,eps", [
+    ((2, 2, 2), "vertex", Fraction(1, 2)),
+    ((2, 2, 2), "stub", Fraction(1, 2)),
+    ((2, 2, 2, 2), "vertex", Fraction(1, 10)),
+    ((2, 2, 2, 2), "stub", Fraction(1, 10)),
+    ((3, 3, 2, 2), "vertex", Fraction(1, 10)),
+    ((3, 3, 2, 2), "stub", Fraction(0)),
+    ((5, 3, 3, 3), "vertex", Fraction(1, 3)),
+    ((5, 3, 3, 3), "stub", Fraction(1, 3)),
+    ((2, 2, 2, 2, 2), "vertex", Fraction(1, 10)),
+    ((2, 2, 2, 2, 2), "stub", Fraction(1, 10)),
+    ((4, 3, 3, 2, 2), "stub", Fraction(1, 10)),
+])
+def test_detailed_balance_exact(ds, mode, eps):
+    graphs = enumerate_loopy_graphs(ds)
+    P = kernel_matrix(graphs, mode, eps)
+    w = target_weights(graphs, mode)
+    for row in P:
+        assert sum(row) == 1
+    n = len(graphs)
+    for a in range(n):
+        for b in range(a + 1, n):
+            assert w[a] * P[a][b] == w[b] * P[b][a], (a, b)
+    # the chain moves to exactly the states the oracle's generators list
+    index = {g.edges: a for a, g in enumerate(graphs)}
+    for a, g in enumerate(graphs):
+        edge_list = sorted(g.edges)
+        moves = set(double_neighbor_edge_sets(edge_list, g.edges))
+        if eps:
+            moves.update(triangle_neighbor_edge_sets(edge_list, g.edges))
+        assert {b for b in range(n) if b != a and P[a][b]} == {index[es] for es in moves}, a
+
+
+def test_kernel_matrix_reaches_everything():
+    graphs = enumerate_loopy_graphs((2, 2, 2, 2))
+    P = kernel_matrix(graphs, "vertex", Fraction(1, 10))
+    reached = {0}
+    frontier = [0]
+    while frontier:
+        a = frontier.pop()
+        for b, p in enumerate(P[a]):
+            if p > 0 and b not in reached:
+                reached.add(b)
+                frontier.append(b)
+    assert reached == set(range(len(graphs)))
 
 
 def scripted_step(graph, mode, floats, ints, triangle_prob=0.5):

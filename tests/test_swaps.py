@@ -1,27 +1,9 @@
-"""Double edge swaps and triangle/loop exchanges: validity, application, and
-one-move neighborhoods."""
-
-import pytest
+"""Double edge swaps and triangle/loop exchanges, through the generators that
+list the edge sets one valid move away."""
 
 from loopygraphs.graph import LoopyGraph
 from loopygraphs.oracle import enumerate_loopy_graphs
-from loopygraphs.swaps import (
-    DUPLICATE_PAIR,
-    EDGE_EXISTS,
-    LOOP_EXISTS,
-    NOOP,
-    NOT_TRIANGLE_OR_LOOPS,
-    DoubleSwap,
-    EdgeNotPresent,
-    InvalidSwap,
-    TriangleLoopSwap,
-    apply_double_swap,
-    apply_triangle_swap,
-    check_double_swap,
-    check_triangle_swap,
-    double_swap_replacements,
-    enumerate_neighbors,
-)
+from loopygraphs.swaps import double_neighbor_edge_sets, triangle_neighbor_edge_sets
 
 
 def cycle4():
@@ -32,183 +14,127 @@ def triangle():
     return LoopyGraph(3, [(0, 1), (0, 2), (1, 2)])
 
 
+def three_loops():
+    return LoopyGraph(3, [(0, 0), (1, 1), (2, 2)])
+
+
+def double_neighbors(g):
+    return set(double_neighbor_edge_sets(sorted(g.edges), g.edges))
+
+
+def triangle_neighbors(g):
+    return set(triangle_neighbor_edge_sets(sorted(g.edges), g.edges))
+
+
 def test_replacements_two_pairings():
-    assert double_swap_replacements((0, 1), (2, 3), "A") == ((0, 2), (1, 3))
-    assert double_swap_replacements((0, 1), (2, 3), "B") == ((0, 3), (1, 2))
+    g = LoopyGraph(4, [(0, 1), (2, 3)])
+    assert double_neighbors(g) == {frozenset({(0, 2), (1, 3)}), frozenset({(0, 3), (1, 2)})}
 
 
 def test_replacements_with_loop_coincide():
-    a = double_swap_replacements((0, 0), (1, 2), "A")
-    b = double_swap_replacements((0, 0), (1, 2), "B")
-    assert set(a) == set(b) == {(0, 1), (0, 2)}
-
-
-def test_swap_constructor_normalizes_before_distinctness():
-    s = DoubleSwap((1, 0), (3, 2))
-    assert s.edge1 == (0, 1) and s.edge2 == (2, 3)
-    with pytest.raises(ValueError):
-        DoubleSwap((1, 0), (0, 1))  # same edge written both ways
-    with pytest.raises(ValueError):
-        DoubleSwap((0, 1), (2, 3), pairing="C")
-    t = TriangleLoopSwap((2, 0), (1, 0), (2, 1))
-    assert (t.edge1, t.edge2, t.edge3) == ((0, 2), (0, 1), (1, 2))
-    with pytest.raises(ValueError):
-        TriangleLoopSwap((0, 1), (1, 0), (1, 2))
+    g = LoopyGraph(3, [(0, 0), (1, 2)])
+    moves = list(double_neighbor_edge_sets(sorted(g.edges), g.edges))
+    assert moves == [frozenset({(0, 1), (0, 2)})] * 2
 
 
 def test_check_double_swap_valid():
-    out = check_double_swap(cycle4(), DoubleSwap((0, 1), (2, 3), "A"))
-    assert out.valid
-    assert set(out.removed) == {(0, 1), (2, 3)}
-    assert set(out.added) == {(0, 2), (1, 3)}
+    # (0,1),(2,3) re-paired as (0,2),(1,3)
+    assert frozenset({(0, 2), (1, 3), (1, 2), (0, 3)}) in double_neighbors(cycle4())
 
 
 def test_check_double_swap_existing_edge():
-    out = check_double_swap(cycle4(), DoubleSwap((0, 1), (2, 3), "B"))
-    assert not out.valid
-    assert out.reason == EDGE_EXISTS
+    # the other pairing of (0,1),(2,3) adds (0,3),(1,2), which cycle4 holds
+    rewired = [es for es in double_neighbors(cycle4()) if not es & {(0, 1), (2, 3)}]
+    assert rewired == [frozenset({(0, 2), (1, 3), (1, 2), (0, 3)})]
 
 
 def test_check_double_swap_noop():
+    # one pairing of (0,1),(1,2) gives back the same two edges
     path = LoopyGraph(3, [(0, 1), (1, 2)])
-    out = check_double_swap(path, DoubleSwap((0, 1), (1, 2), "A"))
-    assert not out.valid
-    assert out.reason == NOOP
+    assert double_neighbors(path) == {frozenset({(0, 2), (1, 1)})}
 
 
 def test_check_double_swap_two_loops():
-    g = LoopyGraph(3, [(0, 0), (1, 1), (2, 2)])
-    out = check_double_swap(g, DoubleSwap((0, 0), (1, 1)))
-    assert not out.valid
-    assert out.reason == DUPLICATE_PAIR
-
-
-def test_check_double_swap_missing_edge():
-    with pytest.raises(EdgeNotPresent):
-        check_double_swap(cycle4(), DoubleSwap((0, 2), (1, 2)))
+    # two loops re-paired either way give the same edge twice
+    assert double_neighbors(three_loops()) == set()
 
 
 def test_loop_edge_swap_destroys_loop_via_both_pairings():
     g = LoopyGraph(3, [(0, 0), (1, 2), (1, 1)])
-    for pairing in ("A", "B"):
-        out = check_double_swap(g, DoubleSwap((0, 0), (1, 2), pairing))
-        assert out.valid
-        assert set(out.added) == {(0, 1), (0, 2)}
-    swapped = apply_double_swap(g, DoubleSwap((0, 0), (1, 2)))
-    assert swapped.degree_sequence() == g.degree_sequence()
-    assert swapped.loop_count() == g.loop_count() - 1
+    moves = list(double_neighbor_edge_sets(sorted(g.edges), g.edges))
+    assert moves == [frozenset({(0, 1), (0, 2), (1, 1)})] * 2
 
 
 def test_adjacent_edge_swap_creates_loop():
-    out = check_double_swap(cycle4(), DoubleSwap((0, 1), (1, 2), "B"))
-    assert out.valid
-    assert set(out.added) == {(1, 1), (0, 2)}
-    swapped = apply_double_swap(cycle4(), DoubleSwap((0, 1), (1, 2), "B"))
-    assert swapped.loop_count() == 1
-    assert swapped.degree_sequence() == (2, 2, 2, 2)
-
-
-def test_apply_double_swap_rejects_invalid():
-    with pytest.raises(InvalidSwap):
-        apply_double_swap(cycle4(), DoubleSwap((0, 1), (2, 3), "B"))
+    assert frozenset({(1, 1), (0, 2), (2, 3), (0, 3)}) in double_neighbors(cycle4())
 
 
 def test_triangle_swap_loops_to_triangle():
-    g = LoopyGraph(3, [(0, 0), (1, 1), (2, 2)])
-    out = check_triangle_swap(g, TriangleLoopSwap((0, 0), (1, 1), (2, 2)))
-    assert out.valid
-    assert set(out.added) == {(0, 1), (0, 2), (1, 2)}
-    assert apply_triangle_swap(g, TriangleLoopSwap((0, 0), (1, 1), (2, 2))) == triangle()
+    assert triangle_neighbors(three_loops()) == {triangle().edges}
 
 
 def test_triangle_swap_blocked_by_existing_edge():
     g = LoopyGraph(3, [(0, 0), (1, 1), (2, 2), (0, 1)])
-    out = check_triangle_swap(g, TriangleLoopSwap((0, 0), (1, 1), (2, 2)))
-    assert not out.valid
-    assert out.reason == EDGE_EXISTS
+    assert triangle_neighbors(g) == set()
 
 
 def test_triangle_swap_triangle_to_loops():
-    out = check_triangle_swap(triangle(), TriangleLoopSwap((0, 1), (0, 2), (1, 2)))
-    assert out.valid
-    assert set(out.added) == {(0, 0), (1, 1), (2, 2)}
+    assert triangle_neighbors(triangle()) == {three_loops().edges}
 
 
 def test_triangle_swap_blocked_by_existing_loop():
     g = LoopyGraph(3, [(0, 1), (0, 2), (1, 2), (0, 0)])
-    out = check_triangle_swap(g, TriangleLoopSwap((0, 1), (0, 2), (1, 2)))
-    assert not out.valid
-    assert out.reason == LOOP_EXISTS
+    assert triangle_neighbors(g) == set()
 
 
 def test_triangle_swap_rejects_other_shapes():
     path = LoopyGraph(4, [(0, 1), (1, 2), (2, 3)])
-    out = check_triangle_swap(path, TriangleLoopSwap((0, 1), (1, 2), (2, 3)))
-    assert not out.valid and out.reason == NOT_TRIANGLE_OR_LOOPS
     star = LoopyGraph(4, [(0, 1), (0, 2), (0, 3)])
-    out = check_triangle_swap(star, TriangleLoopSwap((0, 1), (0, 2), (0, 3)))
-    assert not out.valid and out.reason == NOT_TRIANGLE_OR_LOOPS
     mixed = LoopyGraph(3, [(0, 0), (1, 1), (1, 2)])
-    out = check_triangle_swap(mixed, TriangleLoopSwap((0, 0), (1, 1), (1, 2)))
-    assert not out.valid and out.reason == NOT_TRIANGLE_OR_LOOPS
-
-
-def test_triangle_swap_missing_edge():
-    with pytest.raises(EdgeNotPresent):
-        check_triangle_swap(triangle(), TriangleLoopSwap((0, 0), (1, 1), (2, 2)))
+    for g in (path, star, mixed):
+        assert triangle_neighbors(g) == set()
 
 
 def test_cycle4_has_six_double_neighbors():
-    nbrs = enumerate_neighbors(cycle4(), include_triangle=False)
+    nbrs = double_neighbors(cycle4())
     assert len(nbrs) == 6
-    with_loop = [g for g in nbrs if g.loop_count() == 1]
-    rewired = [g for g in nbrs if g.loop_count() == 0]
-    assert len(with_loop) == 4
-    assert len(rewired) == 2
+    rewired = {es for es in nbrs if all(u != v for u, v in es)}
+    assert len(nbrs) - len(rewired) == 4  # the other four carry one loop
     # the loop-free neighbors are the other two labeled 4-cycles
-    assert {frozenset(g.edges) for g in rewired} == {
+    assert rewired == {
         frozenset({(0, 1), (2, 3), (0, 2), (1, 3)}),
         frozenset({(1, 2), (0, 3), (0, 2), (1, 3)}),
     }
     # triangle moves add nothing: no loops and no triangle in a 4-cycle
-    assert len(enumerate_neighbors(cycle4(), include_triangle=True)) == 6
+    assert triangle_neighbors(cycle4()) == set()
 
 
 def test_triangle_neighbors_only_exchange():
-    nbrs = enumerate_neighbors(triangle(), include_triangle=False)
-    assert nbrs == []
-    nbrs = enumerate_neighbors(triangle(), include_triangle=True)
-    assert len(nbrs) == 1
-    assert nbrs[0].edges == frozenset({(0, 0), (1, 1), (2, 2)})
+    assert double_neighbors(triangle()) == set()
+    assert triangle_neighbors(triangle()) == {three_loops().edges}
 
 
 def test_neighbors_never_include_source():
     for ds in [(2, 2, 2, 2), (3, 3, 2, 2)]:
         for g in enumerate_loopy_graphs(ds):
-            for nb in enumerate_neighbors(g):
-                assert nb.edges != g.edges
+            assert g.edges not in double_neighbors(g) | triangle_neighbors(g)
 
 
 def test_neighborhood_properties_exhaustive():
     """Over whole small spaces: moves preserve degrees and edge counts, change
     loops by the right amount, and are reversible."""
     for ds in [(2, 2, 2, 2), (3, 3, 2, 2), (5, 3, 3, 3)]:
-        graphs = enumerate_loopy_graphs(ds)
-        for g in graphs:
-            doubles = enumerate_neighbors(g, include_triangle=False)
-            all_moves = enumerate_neighbors(g, include_triangle=True)
-            tri_only = [h for h in all_moves
-                        if h.edges not in {d.edges for d in doubles}]
-            for h in doubles:
+        for g in enumerate_loopy_graphs(ds):
+            for es in double_neighbors(g):
+                h = LoopyGraph.from_edge_set(g.n, es)
                 h.validate()
                 assert h.degree_sequence() == g.degree_sequence()
                 assert len(h.edges) == len(g.edges)
                 assert abs(h.loop_count() - g.loop_count()) <= 1
-                back = enumerate_neighbors(h, include_triangle=False)
-                assert g.edges in {b.edges for b in back}
-            for h in tri_only:
+                assert g.edges in double_neighbors(h)
+            for es in triangle_neighbors(g):
+                h = LoopyGraph.from_edge_set(g.n, es)
                 h.validate()
                 assert h.degree_sequence() == g.degree_sequence()
                 assert abs(h.loop_count() - g.loop_count()) == 3
-                back = enumerate_neighbors(h, include_triangle=True)
-                assert g.edges in {b.edges for b in back}
+                assert g.edges in triangle_neighbors(h)
