@@ -53,7 +53,7 @@ class LoopyGraph:
         self-loop at one vertex).
     """
 
-    __slots__ = ("n", "edges", "_adj")
+    __slots__ = ("n", "edges", "_adj", "_trap")
 
     def __init__(self, n: int, edges=()):
         if n < 0:
@@ -69,6 +69,7 @@ class LoopyGraph:
         self.n = n
         self.edges = frozenset(seen)
         self._adj = None
+        self._trap = None
 
     @classmethod
     def from_edge_set(cls, n: int, edge_set: frozenset) -> "LoopyGraph":
@@ -77,6 +78,7 @@ class LoopyGraph:
         g.n = n
         g.edges = edge_set
         g._adj = None
+        g._trap = None
         return g
 
     # -- basic queries -----------------------------------------------------
@@ -218,12 +220,15 @@ def is_clique(graph: LoopyGraph, vertices) -> bool:
 
 
 def _trap_context(graph: LoopyGraph):
-    """Shared setup for the two swap-trap membership tests."""
-    ld = layer_decomposition(graph)
-    adj = graph._adjacency()
-    v1 = frozenset(v for v, d in ld.depth.items() if d == 1)
-    deeper = [v for v, d in ld.depth.items() if d >= 2]
-    return ld, adj, v1, deeper
+    """Shared setup for the two swap-trap membership tests, worked out once
+    per graph (graphs are immutable)."""
+    ctx = graph._trap
+    if ctx is None:
+        ld = layer_decomposition(graph)
+        v1 = frozenset(v for v, d in ld.depth.items() if d == 1)
+        deeper = [v for v, d in ld.depth.items() if d >= 2]
+        ctx = graph._trap = (ld, graph._adjacency(), v1, deeper)
+    return ctx
 
 
 def is_in_clique_trap(graph: LoopyGraph) -> bool:

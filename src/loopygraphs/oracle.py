@@ -113,34 +113,68 @@ def enumerate_loopy_graphs(ds, max_sum: int = DEFAULT_ENUM_BOUND) -> list[LoopyG
     return [LoopyGraph.from_edge_set(n, es) for es in _enumerate_edge_sets(ds)]
 
 
-class _UnionFind:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
+def _code_space(n: int, edge_sets) -> tuple[dict, list[int], dict[int, int]]:
+    """Give each vertex pair ``(u, v)``, ``u <= v``, one bit, code every edge
+    set as the sum of its edges' bits, and index the space by code."""
+    bit = {}
+    for u in range(n):
+        for v in range(u, n):
+            bit[u, v] = 1 << len(bit)
+    masks = [sum(map(bit.__getitem__, es)) for es in edge_sets]
+    return bit, masks, {m: i for i, m in enumerate(masks)}
 
-    def find(self, a: int) -> int:
-        parent = self.parent
+
+def _unknown(bit: dict, mask: int) -> UnknownNeighbor:
+    missing = [e for e, b in bit.items() if mask & b]
+    return UnknownNeighbor(f"swap result missing from enumeration: {missing}")
+
+
+def _double_targets(edge_list, edge_set, mask, bit, index) -> list[int]:
+    """Index of the graph each yielded double swap leads to, the move applied
+    to the graph's code as bit flips."""
+    try:
+        return [index[mask ^ bit[r1] ^ bit[r2] | bit[a1] | bit[a2]]
+                for (r1, r2), (a1, a2) in double_neighbor_edge_sets(edge_list, edge_set)]
+    except KeyError as exc:
+        raise _unknown(bit, exc.args[0]) from None
+
+
+def _triangle_targets(edge_list, edge_set, mask, bit, index) -> list[int]:
+    """As ``_double_targets``, for the triangle/loop exchanges."""
+    try:
+        return [index[mask ^ bit[r1] ^ bit[r2] ^ bit[r3] | bit[a1] | bit[a2] | bit[a3]]
+                for (r1, r2, r3), (a1, a2, a3)
+                in triangle_neighbor_edge_sets(edge_list, edge_set)]
+    except KeyError as exc:
+        raise _unknown(bit, exc.args[0]) from None
+
+
+def _union(parent: list[int], i: int, js) -> None:
+    """Join ``i`` with every index in ``js``; other roots hang under i's."""
+    ri = i
+    while parent[ri] != ri:
+        ri = parent[ri]
+    for j in js:
+        rj = parent[j]
+        while parent[rj] != rj:
+            parent[j] = rj = parent[rj]
+        if rj != ri:
+            parent[rj] = ri
+
+
+def _labels(parent: list[int]) -> tuple[list[int], int]:
+    """Component labels numbered 0..count-1 in node order."""
+    remap: dict[int, int] = {}
+    out = []
+    for a in range(len(parent)):
         root = a
         while parent[root] != root:
             root = parent[root]
-        while parent[a] != root:
-            parent[a], a = root, parent[a]
-        return root
-
-    def union(self, a: int, b: int):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-    def labels(self) -> tuple[list[int], int]:
-        """Component labels numbered 0..count-1 in node order."""
-        remap: dict[int, int] = {}
-        out = []
-        for a in range(len(self.parent)):
-            root = self.find(a)
-            if root not in remap:
-                remap[root] = len(remap)
-            out.append(remap[root])
-        return out, len(remap)
+        label = remap.get(root)
+        if label is None:
+            label = remap[root] = len(remap)
+        out.append(label)
+    return out, len(remap)
 
 
 @dataclass
@@ -159,47 +193,34 @@ class SwapGraph:
     n_components_triangle: int | None
 
 
-def _neighbor_indices(set_index, gen) -> set[int]:
-    out = set()
-    for es in gen:
-        j = set_index.get(es)
-        if j is None:
-            raise UnknownNeighbor(f"swap result missing from enumeration: {sorted(es)}")
-        out.add(j)
-    return out
+def _sorted_neighbors(i: int, js: list[int]) -> tuple[int, ...]:
+    nbrs = set(js)
+    nbrs.discard(i)
+    return tuple(sorted(nbrs))
 
 
 def build_swap_graph(graphs: list[LoopyGraph], include_triangle: bool = True) -> SwapGraph:
     """Adjacency, via one-move neighborhoods, over an enumerated space."""
     edge_sets = [g.edges for g in graphs]
-    set_index = {es: i for i, es in enumerate(edge_sets)}
-    index = {g.canonical_key(): i for i, g in enumerate(graphs)}
+    bit, masks, set_index = _code_space(max((g.n for g in graphs), default=0), edge_sets)
+    parent = list(range(len(graphs)))
     double_adj = []
-    triangle_adj = [] if include_triangle else None
-    ufd = _UnionFind(len(graphs))
-    uft = _UnionFind(len(graphs))
-    for i, g in enumerate(graphs):
-        edge_list = sorted(g.edges)
-        dn = _neighbor_indices(set_index, double_neighbor_edge_sets(edge_list, g.edges))
-        dn.discard(i)
-        double_adj.append(tuple(sorted(dn)))
-        for j in dn:
-            ufd.union(i, j)
-            uft.union(i, j)
-        if include_triangle:
-            tn = _neighbor_indices(set_index, triangle_neighbor_edge_sets(edge_list, g.edges))
-            tn.discard(i)
-            triangle_adj.append(tuple(sorted(tn)))
-            for j in tn:
-                uft.union(i, j)
-    comp_d, ncomp_d = ufd.labels()
+    for i, es in enumerate(edge_sets):
+        double = _double_targets(sorted(es), es, masks[i], bit, set_index)
+        double_adj.append(_sorted_neighbors(i, double))
+        _union(parent, i, double)
+    comp_d, ncomp_d = _labels(parent)
+    triangle_adj, comp_t, ncomp_t = None, None, None
     if include_triangle:
-        comp_t, ncomp_t = uft.labels()
-    else:
-        comp_t, ncomp_t = None, None
+        triangle_adj = []
+        for i, es in enumerate(edge_sets):
+            triangle = _triangle_targets(sorted(es), es, masks[i], bit, set_index)
+            triangle_adj.append(_sorted_neighbors(i, triangle))
+            _union(parent, i, triangle)
+        comp_t, ncomp_t = _labels(parent)
     return SwapGraph(
         nodes=list(graphs),
-        index=index,
+        index={g.canonical_key(): i for i, g in enumerate(graphs)},
         double_adjacency=double_adj,
         triangle_adjacency=triangle_adj,
         components_double=comp_d,
@@ -218,22 +239,33 @@ def components(swap_graph: SwapGraph, triangle: bool = False) -> tuple[list[int]
     return list(swap_graph.components_double), swap_graph.n_components_double
 
 
-def _loopless_internal_edge_count(g: LoopyGraph) -> int:
-    looped = {u for u, v in g.edges if u == v}
-    return sum(1 for u, v in g.edges if u != v and u not in looped and v not in looped)
+def _loopless_internal_edge_count(edge_set) -> int:
+    looped = {u for u, v in edge_set if u == v}
+    return sum(1 for u, v in edge_set if u != v and u not in looped and v not in looped)
 
 
-def _has_loopless_triangle(g: LoopyGraph) -> bool:
-    looped = {u for u, v in g.edges if u == v}
+def _has_loopless_triangle(edge_set) -> bool:
+    looped = {u for u, v in edge_set if u == v}
     adj: dict[int, set[int]] = {}
-    for u, v in g.edges:
+    for u, v in edge_set:
         if u != v and u not in looped and v not in looped:
             adj.setdefault(u, set()).add(v)
             adj.setdefault(v, set()).add(u)
-    for u, v in g.edges:
+    for u, v in edge_set:
         if u != v and u in adj and v in adj and adj[u] & adj[v]:
             return True
     return False
+
+
+def _representatives(members: list[int], loops, edge_sets) -> list[int]:
+    """The members with the most self-loops, ties broken toward the most
+    edges among loop-free vertices; every member achieving both maxima, in
+    ``members`` order."""
+    best_loops = max(loops[i] for i in members)
+    tied = [i for i in members if loops[i] == best_loops]
+    scores = [_loopless_internal_edge_count(edge_sets[i]) for i in tied]
+    best_score = max(scores)
+    return [i for i, score in zip(tied, scores) if score == best_score]
 
 
 def is_max_loopy(graph: LoopyGraph, mstar: int | None = None) -> bool:
@@ -259,11 +291,10 @@ def max_loop_representatives(swap_graph: SwapGraph, component: int) -> list[Loop
     members = [i for i, c in enumerate(swap_graph.components_double) if c == component]
     if not members:
         raise ValueError(f"no such component: {component}")
-    best_loops = max(swap_graph.nodes[i].loop_count() for i in members)
-    tied = [i for i in members if swap_graph.nodes[i].loop_count() == best_loops]
-    scores = {i: _loopless_internal_edge_count(swap_graph.nodes[i]) for i in tied}
-    best_score = max(scores.values())
-    return [swap_graph.nodes[i] for i in tied if scores[i] == best_score]
+    nodes = swap_graph.nodes
+    reps = _representatives(members, {i: nodes[i].loop_count() for i in members},
+                            {i: nodes[i].edges for i in members})
+    return [nodes[i] for i in reps]
 
 
 def stationary_distribution(graphs: list[LoopyGraph], mode: str) -> dict[bytes, float]:
@@ -296,85 +327,59 @@ def verify_sequence(ds, max_sum: int = DEFAULT_ENUM_BOUND) -> dict:
     n = len(ds)
     edge_sets = list(_enumerate_edge_sets(ds))
     count = len(edge_sets)
-    set_index = {es: i for i, es in enumerate(edge_sets)}
+    bit, masks, set_index = _code_space(n, edge_sets)
 
-    clique_trap = [False] * count
-    cycle_trap = [False] * count
+    trap_class = [0] * count  # bit 0: clique trap, bit 1: cycle trap
     loops = [0] * count
     maxloopy = [False] * count
     for i, es in enumerate(edge_sets):
         g = LoopyGraph.from_edge_set(n, es)
-        clique_trap[i] = is_in_clique_trap(g)
-        cycle_trap[i] = is_in_cycle_trap(g)
+        trap_class[i] = is_in_clique_trap(g) | is_in_cycle_trap(g) << 1
         loops[i] = g.loop_count()
-        maxloopy[i] = is_max_loopy(g, mstar)
+        # is_max_loopy rejects every other loop count; skip its degree scan
+        maxloopy[i] = loops[i] == mstar and is_max_loopy(g, mstar)
 
-    ufd = _UnionFind(count)
-    uft = _UnionFind(count)
+    # one union-find: double swaps first, then the same forest continued with
+    # the triangle/loop exchanges
+    parent = list(range(count))
+    triangle_moves = []
     closure_ok = True
     for i, es in enumerate(edge_sets):
         edge_list = sorted(es)
-        trap_i = clique_trap[i] or cycle_trap[i]
-        for nb in double_neighbor_edge_sets(edge_list, es):
-            j = set_index.get(nb)
-            if j is None:
-                raise UnknownNeighbor(f"swap result missing from enumeration: {sorted(nb)}")
-            ufd.union(i, j)
-            uft.union(i, j)
-            if trap_i and (clique_trap[i] != clique_trap[j] or cycle_trap[i] != cycle_trap[j]):
-                closure_ok = False
-        for nb in triangle_neighbor_edge_sets(edge_list, es):
-            j = set_index.get(nb)
-            if j is None:
-                raise UnknownNeighbor(f"swap result missing from enumeration: {sorted(nb)}")
-            uft.union(i, j)
-
-    comp_d, ncomp_d = ufd.labels()
-    _, ncomp_t = uft.labels()
+        double = _double_targets(edge_list, es, masks[i], bit, set_index)
+        _union(parent, i, double)
+        triangle = _triangle_targets(edge_list, es, masks[i], bit, set_index)
+        if triangle:
+            triangle_moves.append((i, triangle))
+        cls = trap_class[i]
+        if cls and closure_ok:
+            closure_ok = all(trap_class[j] == cls for j in double)
+    comp_d, ncomp_d = _labels(parent)
+    for i, triangle in triangle_moves:
+        _union(parent, i, triangle)
+    _, ncomp_t = _labels(parent)
     disconnected = ncomp_d > 1
-    q1_count = sum(clique_trap)
-    q2_count = sum(cycle_trap)
+    q1_count = sum(c & 1 for c in trap_class)
+    q2_count = sum(c >> 1 for c in trap_class)
 
     # f: every max-loop realization in one double-swap component
     maxloopy_roots = {comp_d[i] for i in range(count) if maxloopy[i]}
     check_f = len(maxloopy_roots) <= 1
 
     # g: representatives without a loop-free triangle must be max-loopy
-    check_g = True
-    best_loops: dict[int, int] = {}
-    for i in range(count):
-        c = comp_d[i]
-        if loops[i] > best_loops.get(c, -1):
-            best_loops[c] = loops[i]
-    best_score: dict[int, int] = {}
-    rep_sets: dict[int, list[int]] = {}
-    for i in range(count):
-        c = comp_d[i]
-        if loops[i] != best_loops[c]:
-            continue
-        g = LoopyGraph.from_edge_set(n, edge_sets[i])
-        score = _loopless_internal_edge_count(g)
-        if score > best_score.get(c, -1):
-            best_score[c] = score
-            rep_sets[c] = [i]
-        elif score == best_score[c]:
-            rep_sets[c].append(i)
-    for c, reps in rep_sets.items():
-        for i in reps:
-            g = LoopyGraph.from_edge_set(n, edge_sets[i])
-            if not _has_loopless_triangle(g) and not maxloopy[i]:
-                check_g = False
+    members: list[list[int]] = [[] for _ in range(ncomp_d)]
+    for i, c in enumerate(comp_d):
+        members[c].append(i)
+    check_g = all(maxloopy[i] or _has_loopless_triangle(edge_sets[i])
+                  for group in members for i in _representatives(group, loops, edge_sets))
 
-    try:
-        detected = detect_disconnected(ds).status == "disconnected"
-    except Exception:
-        detected = None
+    detected = detect_disconnected(ds).status == "disconnected"
     checks = {
         "a": disconnected == (q1_count + q2_count > 0),
         "b": closure_ok,
         "c": ncomp_t == 1,
         "d": (not max_degree_guarantees_connected(ds)) or not disconnected,
-        "e": detected is not None and detected == disconnected,
+        "e": detected == disconnected,
         "f": check_f,
         "g": check_g,
     }

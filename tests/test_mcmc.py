@@ -124,10 +124,11 @@ def test_detailed_balance_exact(ds, mode, eps):
     index = {g.edges: a for a, g in enumerate(graphs)}
     for a, g in enumerate(graphs):
         edge_list = sorted(g.edges)
-        moves = set(double_neighbor_edge_sets(edge_list, g.edges))
+        moves = list(double_neighbor_edge_sets(edge_list, g.edges))
         if eps:
-            moves.update(triangle_neighbor_edge_sets(edge_list, g.edges))
-        assert {b for b in range(n) if b != a and P[a][b]} == {index[es] for es in moves}, a
+            moves.extend(triangle_neighbor_edge_sets(edge_list, g.edges))
+        targets = {index[g.edges.difference(removed).union(added)] for removed, added in moves}
+        assert {b for b in range(n) if b != a and P[a][b]} == targets, a
 
 
 def test_kernel_matrix_reaches_everything():

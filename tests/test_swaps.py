@@ -1,5 +1,5 @@
 """Double edge swaps and triangle/loop exchanges, through the generators that
-list the edge sets one valid move away."""
+list every valid move of a graph."""
 
 from loopygraphs.graph import LoopyGraph
 from loopygraphs.oracle import enumerate_loopy_graphs
@@ -18,12 +18,21 @@ def three_loops():
     return LoopyGraph(3, [(0, 0), (1, 1), (2, 2)])
 
 
+def apply(edge_set, move):
+    removed, added = move
+    return edge_set.difference(removed).union(added)
+
+
+def double_moves(g):
+    return [apply(g.edges, m) for m in double_neighbor_edge_sets(sorted(g.edges), g.edges)]
+
+
 def double_neighbors(g):
-    return set(double_neighbor_edge_sets(sorted(g.edges), g.edges))
+    return set(double_moves(g))
 
 
 def triangle_neighbors(g):
-    return set(triangle_neighbor_edge_sets(sorted(g.edges), g.edges))
+    return {apply(g.edges, m) for m in triangle_neighbor_edge_sets(sorted(g.edges), g.edges)}
 
 
 def test_replacements_two_pairings():
@@ -33,7 +42,7 @@ def test_replacements_two_pairings():
 
 def test_replacements_with_loop_coincide():
     g = LoopyGraph(3, [(0, 0), (1, 2)])
-    moves = list(double_neighbor_edge_sets(sorted(g.edges), g.edges))
+    moves = double_moves(g)
     assert moves == [frozenset({(0, 1), (0, 2)})] * 2
 
 
@@ -61,7 +70,7 @@ def test_check_double_swap_two_loops():
 
 def test_loop_edge_swap_destroys_loop_via_both_pairings():
     g = LoopyGraph(3, [(0, 0), (1, 2), (1, 1)])
-    moves = list(double_neighbor_edge_sets(sorted(g.edges), g.edges))
+    moves = double_moves(g)
     assert moves == [frozenset({(0, 1), (0, 2), (1, 1)})] * 2
 
 
@@ -118,6 +127,20 @@ def test_neighbors_never_include_source():
     for ds in [(2, 2, 2, 2), (3, 3, 2, 2)]:
         for g in enumerate_loopy_graphs(ds):
             assert g.edges not in double_neighbors(g) | triangle_neighbors(g)
+
+
+def test_moves_remove_present_and_add_absent_edges():
+    """What applying a move as bit flips relies on: removed edges are in the
+    graph, added edges are normalized, distinct, and not in the graph."""
+    for ds in [(2, 2, 2, 2), (3, 3, 2, 2), (5, 3, 3, 3), (2, 2, 2, 2, 2)]:
+        for g in enumerate_loopy_graphs(ds):
+            edge_list = sorted(g.edges)
+            for size, gen in ((2, double_neighbor_edge_sets), (3, triangle_neighbor_edge_sets)):
+                for removed, added in gen(edge_list, g.edges):
+                    assert len(set(removed)) == len(set(added)) == size
+                    assert set(removed) <= g.edges
+                    assert not set(added) & g.edges
+                    assert all(u <= v for u, v in added)
 
 
 def test_neighborhood_properties_exhaustive():
