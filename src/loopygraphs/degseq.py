@@ -155,7 +155,12 @@ def realize_loopy_graph(degrees) -> LoopyGraph:
     Raises ``NotLoopyGraphical`` when the sequence has no realization.
     """
     ds = [int(d) for d in degrees]
-    m = max_loop_count(ds)
+    return _realize(ds, max_loop_count(ds))
+
+
+def _realize(ds: list[int], m: int) -> LoopyGraph:
+    """``realize_loopy_graph`` on a loopy-graphical sequence whose maximum
+    loop count ``m`` is already known."""
     order = sorted(range(len(ds)), key=lambda i: (-ds[i], i))
     looped = order[:m]
     edges = [(v, v) for v in looped]

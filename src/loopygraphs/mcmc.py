@@ -26,7 +26,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .degseq import CONNECTED, DISCONNECTED, check_connectivity, realize_loopy_graph
+from .degseq import CONNECTED, DISCONNECTED, _realize, check_connectivity, realize_loopy_graph
 from .graph import LoopyGraph
 
 __all__ = [
@@ -151,9 +151,11 @@ def default_thinning(m: int) -> int:
 class LoopyChain:
     """Mutable chain state over one degree sequence's graphs.
 
-    The edge count never changes, so edges live in a fixed-length list with a
-    position index; a swap rewrites list slots in place. Randomness comes from
-    a numpy generator drained in blocks.
+    The edge count never changes, so edges live in a fixed-length list, which
+    the draws index, beside a set of the same edges, which answers membership
+    tests; an accepted move rewrites list slots in place and swaps the set's
+    members. ``current()`` copies the set. Randomness comes from a numpy
+    generator drained in blocks.
     """
 
     def __init__(self, graph: LoopyGraph, config: ChainConfig | None = None, rng=None):
@@ -164,7 +166,7 @@ class LoopyChain:
             raise DegenerateGraph("chain needs at least two edges to propose swaps")
         self.n = graph.n
         self._edges: list[tuple[int, int]] = edges
-        self._pos: dict[tuple[int, int], int] = {e: t for t, e in enumerate(edges)}
+        self._edge_set: set[tuple[int, int]] = set(edges)
         self._m = len(edges)
         self._rng = rng if rng is not None else np.random.default_rng(self.config.seed)
         self.stats = ChainStats()
@@ -175,7 +177,7 @@ class LoopyChain:
 
     def current(self) -> LoopyGraph:
         """Immutable snapshot of the state."""
-        return LoopyGraph.from_edge_set(self.n, frozenset(self._edges))
+        return LoopyGraph.from_edge_set(self.n, frozenset(self._edge_set))
 
     def run(self, steps: int, occupancy: dict | None = None, stride: int = 1) -> ChainStats:
         """Advance ``steps`` proposals and return the running totals.
@@ -194,7 +196,9 @@ class LoopyChain:
         if stride < 1:
             raise ValueError("stride must be >= 1")
         edges = self._edges
-        pos = self._pos
+        edge_set = self._edge_set
+        add = edge_set.add
+        remove = edge_set.remove
         m = self._m
         rng = self._rng
         eps = self.config.triangle_prob
@@ -239,18 +243,19 @@ class LoopyChain:
                         x, y = e2
                     a1 = (p, x) if p <= x else (x, p)
                     a2 = (q, y) if q <= y else (y, q)
-                    if a1 == a2 or a1 in pos or a2 in pos:
+                    if a1 == a2 or a1 in edge_set or a2 in edge_set:
                         rej_d_inv += 1
                         continue
                     if reject_coin and (p == q) != (x == y):
                         # vertex mode: exactly one loop selected
                         rej_d_filt += 1
                         continue
-                    del pos[e1], pos[e2]
+                    remove(e1)
+                    remove(e2)
+                    add(a1)
+                    add(a2)
                     edges[i] = a1
                     edges[j] = a2
-                    pos[a1] = i
-                    pos[a2] = j
                     acc_d += 1
                 elif no_triangles:
                     rej_t_inv += 1
@@ -265,13 +270,17 @@ class LoopyChain:
                         t1 = (u, v)
                         t2 = (u, w)
                         t3 = (v, w)
-                        if t1 in pos or t2 in pos or t3 in pos:
+                        if t1 in edge_set or t2 in edge_set or t3 in edge_set:
                             rej_t_inv += 1
                             continue
                         # loops -> triangle: accepted outright in both modes
-                        del pos[e1], pos[e2], pos[e3]
+                        remove(e1)
+                        remove(e2)
+                        remove(e3)
+                        add(t1)
+                        add(t2)
+                        add(t3)
                         edges[i], edges[j], edges[k] = t1, t2, t3
-                        pos[t1], pos[t2], pos[t3] = i, j, k
                         acc_t += 1
                     elif nloops == 0:
                         verts = {e1[0], e1[1], e2[0], e2[1], e3[0], e3[1]}
@@ -282,16 +291,20 @@ class LoopyChain:
                         l1 = (u, u)
                         l2 = (v, v)
                         l3 = (w, w)
-                        if l1 in pos or l2 in pos or l3 in pos:
+                        if l1 in edge_set or l2 in edge_set or l3 in edge_set:
                             rej_t_inv += 1
                             continue
                         if reject_coin:
                             # stub mode damps triangle -> loops by 1/8
                             rej_t_filt += 1
                             continue
-                        del pos[e1], pos[e2], pos[e3]
+                        remove(e1)
+                        remove(e2)
+                        remove(e3)
+                        add(l1)
+                        add(l2)
+                        add(l3)
                         edges[i], edges[j], edges[k] = l1, l2, l3
-                        pos[l1], pos[l2], pos[l3] = i, j, k
                         acc_t += 1
                     else:
                         rej_t_inv += 1
@@ -333,15 +346,18 @@ def prepare_chain(degrees, config: ChainConfig | None = None) -> tuple[LoopyChai
     """
     cfg = config or ChainConfig()
     cfg.validate()
-    ds = tuple(int(d) for d in degrees)
-    initial = realize_loopy_graph(ds)
+    ds = [int(d) for d in degrees]
     if cfg.triangle_prob == 0.0:
+        # the guard's verdict carries m*, so the start graph reuses it
         report = check_connectivity(ds)
         if report.status == DISCONNECTED:
             raise ConfigError(
                 "triangle_prob=0 cannot sample this sequence: the swap space "
                 f"is disconnected ({report.detail})"
             )
+        initial = _realize(ds, report.m_star)
+    else:
+        initial = realize_loopy_graph(ds)
     if len(initial.edges) < 2:
         return None, initial
     chain = LoopyChain(initial, cfg)

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from loopygraphs.cli import main
-from loopygraphs.degseq import parse_degree_sequences
+from loopygraphs.degseq import max_loop_count, parse_degree_sequences
 from loopygraphs.graph import parse_edge_list
 from loopygraphs.oracle import verify_sequence
 
@@ -46,7 +46,9 @@ def test_check_json(capsys):
     assert "witness" not in obj
 
 
-def test_check_json_decides_each_sequence_once(capsys, monkeypatch):
+@pytest.fixture
+def max_loop_calls(monkeypatch):
+    """The sequences ``degseq.max_loop_count`` is called on, in order."""
     import loopygraphs.degseq as degseq
 
     calls = []
@@ -57,6 +59,10 @@ def test_check_json_decides_each_sequence_once(capsys, monkeypatch):
         return real(degrees)
 
     monkeypatch.setattr(degseq, "max_loop_count", counted)
+    return calls
+
+
+def test_check_json_decides_each_sequence_once(capsys, max_loop_calls):
     # disconnected, certified by the degree bound, degenerate
     seqs = [(2, 2, 2, 2), (4, 4, 3, 3, 2, 2, 2), (1, 1)]
     argv = ["check", "--format", "json"]
@@ -64,10 +70,21 @@ def test_check_json_decides_each_sequence_once(capsys, monkeypatch):
         argv += ["--seq", ",".join(map(str, ds))]
     rc, out, _ = run_cli(capsys, *argv)
     assert rc == 0
-    assert calls == seqs
+    assert max_loop_calls == seqs
     objs = [json.loads(line) for line in out.strip().splitlines()]
     assert [obj["method"] for obj in objs] == ["peeling", "max_degree_bound", "degenerate"]
-    assert [obj["m_star"] for obj in objs] == [real(ds) for ds in seqs]
+    assert [obj["m_star"] for obj in objs] == [max_loop_count(ds) for ds in seqs]
+
+
+def test_sample_auto_epsilon_works_out_m_star_once_per_decision(capsys, max_loop_calls):
+    # auto epsilon decides the space once and picks 0; prepare_chain's guard
+    # decides it again and builds the start graph from that verdict's m*
+    rc, out, err = run_cli(capsys, "sample", "--seq", "3,3,2,2", "--count", "2",
+                           "--seed", "1", "--format", "json")
+    assert rc == 0
+    assert json.loads(err)["triangle_prob"] == 0.0
+    assert len(out.strip().splitlines()) == 2
+    assert max_loop_calls == [(3, 3, 2, 2)] * 2
 
 
 def test_check_json_witness_realizes_sequence(capsys):

@@ -9,13 +9,14 @@ as an unbalanced state pair, and any move the chain makes or misses that the
 neighbour generators do not shows up as a support mismatch.
 """
 
+import hashlib
 from collections import deque
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from loopygraphs.degseq import NotLoopyGraphical
+from loopygraphs.degseq import NotLoopyGraphical, realize_loopy_graph
 from loopygraphs.graph import LoopyGraph
 from loopygraphs.mcmc import (
     ChainConfig,
@@ -438,3 +439,51 @@ def test_two_edge_chain_rejects_every_triangle_proposal():
     # (0,0),(1,1) <-> (0,1),(0,1) would duplicate an edge: nothing moves
     assert stats.rejected_double_invalid == 10_000 - stats.rejected_triangle_invalid
     assert occ == {((0, 0), (1, 1)): 10_000}
+
+
+def large_sequence(n=3000):
+    """A fixed 3,000-vertex sequence of degrees 2, 4, 5 and 7 with an even sum."""
+    ds = [2 + (i * i + 2 * i) % 6 for i in range(n)]
+    ds[-1] += sum(ds) % 2
+    return tuple(ds)
+
+
+PINNED_LARGE_DIGEST = {
+    "vertex": "61bad219bc8aa7207bb1f8efcabc647a97cc5c388146da4591cd0e932e8b22d9",
+    "stub": "ed95615614b09feaea5ea442adb9d5b06c3c7288b10d19b88a9e53b423fafef5",
+}
+
+
+@pytest.mark.parametrize("mode", ["vertex", "stub"])
+def test_pinned_large_trajectory(mode):
+    """The pinned trajectory on thousands of edges: SHA-256 over the
+    counters, the sorted final edges and the stride-500 occupancy of three
+    6,000-step runs (six draw blocks) on 6,250 edges."""
+    cfg = ChainConfig(triangle_prob=0.2, mode=mode, seed=11)
+    chain = LoopyChain(realize_loopy_graph(large_sequence()), cfg)
+    occ = {}
+    for _ in range(3):
+        chain.run(6000, occ, stride=500)
+    assert chain.stats.accepted_triangle > 0
+    digest = hashlib.sha256(repr((
+        chain.stats.as_dict(),
+        sorted(chain.current().edges),
+        sorted(occ.items()),
+    )).encode()).hexdigest()
+    assert digest == PINNED_LARGE_DIGEST[mode]
+
+
+@pytest.mark.parametrize("ds", [(2, 2, 2, 2, 2, 2), (3,) * 8])
+@pytest.mark.parametrize("mode", ["vertex", "stub"])
+def test_edge_set_matches_edge_list(ds, mode):
+    """The membership set and the indexed list hold the same m edges after
+    every run, triangle/loop exchanges included, and ``current()`` shows
+    exactly them."""
+    cfg = ChainConfig(triangle_prob=0.3, mode=mode, seed=6)
+    chain = LoopyChain(realize_loopy_graph(ds), cfg)
+    for steps in (1, 700, 4096, 3000):
+        chain.run(steps)
+        assert chain._edge_set == set(chain._edges)
+        assert len(chain._edge_set) == chain._m
+        assert chain.current().edges == frozenset(chain._edges)
+    assert chain.stats.accepted_triangle > 0
