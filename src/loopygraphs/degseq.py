@@ -12,6 +12,8 @@ from __future__ import annotations
 import bisect
 import heapq
 from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import neg
 
 from .graph import LoopyGraph
 
@@ -56,37 +58,50 @@ class ConnectivityReport:
     m_star: int = field(kw_only=True)
 
 
-def is_simple_graphical(degrees) -> bool:
-    """Erdos-Gallai test: can a simple graph (no loops) realize ``degrees``?
+def _erdos_gallai(ds: list[int]) -> bool:
+    """Erdos-Gallai test on a non-increasing list of non-negative degrees
+    with an even sum.
 
     Runs in O(n log n): the tail term sum(min(d_i, k)) comes from prefix sums
     plus a binary search for the first degree below k, and the inequality only
     needs checking while the k-th largest degree is at least k (smaller k are
     implied by the earlier ones).
     """
-    ds = sorted((int(d) for d in degrees), reverse=True)
     n = len(ds)
-    if n == 0:
-        return True
-    if ds[-1] < 0:
+    if n and ds[0] > n - 1:
         return False
-    if ds[0] > n - 1:
-        return False
-    if sum(ds) % 2:
-        return False
-    prefix = [0] * (n + 1)
-    for i, d in enumerate(ds):
-        prefix[i + 1] = prefix[i] + d
-    neg = [-d for d in ds]  # ascending copy, so bisect can threshold degrees
+    prefix = list(accumulate(ds, initial=0))
+    total = prefix[n]
     for k in range(1, n + 1):
         if ds[k - 1] < k:
             break
-        cut = bisect.bisect_right(neg, -k)  # first index with degree < k
+        cut = bisect.bisect_right(ds, -k, key=neg)  # first index with degree < k
         cnt = cut - k if cut > k else 0
-        tail = k * cnt + (prefix[n] - prefix[k + cnt])
-        if prefix[k] > k * (k - 1) + tail:
+        if prefix[k] > k * (k - 1) + k * cnt + total - prefix[k + cnt]:
             return False
     return True
+
+
+def _even_and_nonnegative(ds: list[int]) -> bool:
+    """No entry of the non-increasing ``ds`` is negative and the sum is
+    even; no loop count can repair either."""
+    return not (ds and ds[-1] < 0 or sum(ds) % 2)
+
+
+def _fits_loops(ds: list[int], m: int) -> bool:
+    """Loops on the first ``m`` entries of the non-increasing ``ds``, each
+    at least 2, leave a simple-graphical rest. The reduced list is two
+    non-increasing runs, so re-sorting it is a linear merge."""
+    reduced = [d - 2 for d in ds[:m]]
+    reduced += ds[m:]
+    reduced.sort(reverse=True)
+    return _erdos_gallai(reduced)
+
+
+def is_simple_graphical(degrees) -> bool:
+    """Erdos-Gallai test: can a simple graph (no loops) realize ``degrees``?"""
+    ds = sorted((int(d) for d in degrees), reverse=True)
+    return _even_and_nonnegative(ds) and _erdos_gallai(ds)
 
 
 def is_graphical_with_loops(degrees, m: int) -> bool:
@@ -96,10 +111,7 @@ def is_graphical_with_loops(degrees, m: int) -> bool:
     ds = sorted((int(d) for d in degrees), reverse=True)
     if not 0 <= m <= len(ds):
         raise ValueError(f"loop count {m} out of range for {len(ds)} vertices")
-    reduced = [d - 2 for d in ds[:m]] + ds[m:]
-    if any(d < 0 for d in reduced):
-        return False
-    return is_simple_graphical(reduced)
+    return _even_and_nonnegative(ds) and (m == 0 or ds[m - 1] >= 2) and _fits_loops(ds, m)
 
 
 def max_loop_count(degrees) -> int:
@@ -110,12 +122,16 @@ def max_loop_count(degrees) -> int:
     higher-degree one shifts degree mass from a larger reduced entry to a
     smaller, which preserves simple-graphicality. The scan starts at the
     number of entries >= 2, since any more loops would reduce some entry
-    below zero.
+    below zero. The sequence is sorted once; each loop count then costs a
+    linear merge plus one Erdos-Gallai test, so a scan of s counts over n
+    entries is O(s n) in C-level list work.
     """
     ds = [int(d) for d in degrees]
-    for m in range(sum(1 for d in ds if d >= 2), -1, -1):
-        if is_graphical_with_loops(ds, m):
-            return m
+    desc = sorted(ds, reverse=True)
+    if _even_and_nonnegative(desc):
+        for m in range(bisect.bisect_right(desc, -2, key=neg), -1, -1):
+            if _fits_loops(desc, m):
+                return m
     raise NotLoopyGraphical(f"no loopy graph realizes {tuple(ds)}")
 
 

@@ -4,7 +4,12 @@ edges are single swaps, and check the structural claims the fast tests and the
 sampler rely on.
 
 Everything here is brute force on purpose; it is the independent side of every
-dual-route check.
+dual-route check. One helper serves ``verify_sequence`` and
+``build_swap_graph``: it codes each realization of a space once, as one bit
+per vertex pair of a shared pair-bit table, runs the ``swaps`` generators on
+the codes, and looks each neighbour code up in the space's index; one
+union-find, continued from the double swaps to the triangle/loop exchanges,
+gives both labelings.
 """
 
 from __future__ import annotations
@@ -59,12 +64,13 @@ class UnknownNeighbor(KeyError):
     """A swap produced a graph missing from the enumeration (never expected)."""
 
 
-def _enumerate_edge_sets(ds: tuple[int, ...]):
-    """Yield every valid edge set realizing ``ds``, each exactly once.
+def _enumerate_edge_lists(ds: tuple[int, ...]):
+    """Yield every valid edge set realizing ``ds``, each exactly once, as a
+    tuple of normalized edges in ascending order.
 
     Vertices are finished in index order; a vertex's loop choice and its
     full forward partner set are decided in one step, so no wiring is ever
-    produced twice.
+    produced twice, and the edges come out sorted.
     """
     n = len(ds)
     residual = list(ds)
@@ -74,7 +80,7 @@ def _enumerate_edge_sets(ds: tuple[int, ...]):
         while u < n and residual[u] == 0:
             u += 1
         if u == n:
-            yield frozenset(edges)
+            yield tuple(edges)
             return
         r = residual[u]
         candidates = [v for v in range(u + 1, n) if residual[v] > 0]
@@ -110,43 +116,30 @@ def enumerate_loopy_graphs(ds, max_sum: int = DEFAULT_ENUM_BOUND) -> list[LoopyG
     if sum(ds) > max_sum:
         raise BoundExceeded(f"degree sum {sum(ds)} exceeds bound {max_sum}")
     n = len(ds)
-    return [LoopyGraph.from_edge_set(n, es) for es in _enumerate_edge_sets(ds)]
+    return [LoopyGraph.from_edge_set(n, frozenset(es)) for es in _enumerate_edge_lists(ds)]
 
 
-def _code_space(n: int, edge_sets) -> tuple[dict, list[int], dict[int, int]]:
-    """Give each vertex pair ``(u, v)``, ``u <= v``, one bit, code every edge
-    set as the sum of its edges' bits, and index the space by code."""
-    bit = {}
+def _pair_bits(n: int) -> list[list[int]]:
+    """The pair-bit table: ``pair_bit[u][v] == pair_bit[v][u]`` is the bit
+    of pair {u, v}, numbered row by row over ``u <= v``."""
+    pair_bit = [[0] * n for _ in range(n)]
+    bit = 1
     for u in range(n):
         for v in range(u, n):
-            bit[u, v] = 1 << len(bit)
-    masks = [sum(map(bit.__getitem__, es)) for es in edge_sets]
-    return bit, masks, {m: i for i, m in enumerate(masks)}
+            pair_bit[u][v] = pair_bit[v][u] = bit
+            bit <<= 1
+    return pair_bit
 
 
-def _unknown(bit: dict, mask: int) -> UnknownNeighbor:
-    missing = [e for e, b in bit.items() if mask & b]
-    return UnknownNeighbor(f"swap result missing from enumeration: {missing}")
-
-
-def _double_targets(edge_list, edge_set, mask, bit, index) -> list[int]:
-    """Index of the graph each yielded double swap leads to, the move applied
-    to the graph's code as bit flips."""
+def _targets(codes, index: dict[int, int], pair_bit) -> list[int]:
+    """Index of the graph behind each neighbour code."""
     try:
-        return [index[mask ^ bit[r1] ^ bit[r2] | bit[a1] | bit[a2]]
-                for (r1, r2), (a1, a2) in double_neighbor_edge_sets(edge_list, edge_set)]
+        return list(map(index.__getitem__, codes))
     except KeyError as exc:
-        raise _unknown(bit, exc.args[0]) from None
-
-
-def _triangle_targets(edge_list, edge_set, mask, bit, index) -> list[int]:
-    """As ``_double_targets``, for the triangle/loop exchanges."""
-    try:
-        return [index[mask ^ bit[r1] ^ bit[r2] ^ bit[r3] | bit[a1] | bit[a2] | bit[a3]]
-                for (r1, r2, r3), (a1, a2, a3)
-                in triangle_neighbor_edge_sets(edge_list, edge_set)]
-    except KeyError as exc:
-        raise _unknown(bit, exc.args[0]) from None
+        code = exc.args[0]
+        n = len(pair_bit)
+        missing = [(u, v) for u in range(n) for v in range(u, n) if code & pair_bit[u][v]]
+        raise UnknownNeighbor(f"swap result missing from enumeration: {missing}") from None
 
 
 def _union(parent: list[int], i: int, js) -> None:
@@ -199,30 +192,45 @@ def _sorted_neighbors(i: int, js: list[int]) -> tuple[int, ...]:
     return tuple(sorted(nbrs))
 
 
+def _move_pass(n: int, edge_lists, include_triangle: bool = True):
+    """Code each graph of one space (sorted edge lists on ``n`` vertices)
+    once and run both move passes over the codes.
+
+    Returns ``(double, comp_d, ncomp_d, triangle, comp_t, ncomp_t)``: the
+    target indices of each graph's double swaps, the labels and count of the
+    double-swap components, then the same for the triangle/loop exchanges,
+    with labels and count under both move types (three Nones when
+    ``include_triangle`` is false). Raises ``UnknownNeighbor`` when a move
+    leads outside the space.
+    """
+    pair_bit = _pair_bits(n)
+    codes = [sum([pair_bit[u][v] for u, v in edges]) for edges in edge_lists]
+    index = {code: i for i, code in enumerate(codes)}
+    parent = list(range(len(codes)))
+    passes = [double_neighbor_edge_sets]
+    if include_triangle:
+        passes.append(triangle_neighbor_edge_sets)
+    out = []
+    for moves in passes:
+        targets = [_targets(moves(edges, code, pair_bit), index, pair_bit)
+                   for edges, code in zip(edge_lists, codes)]
+        for i, js in enumerate(targets):
+            _union(parent, i, js)
+        out += [targets, *_labels(parent)]
+    return tuple(out) if include_triangle else (*out, None, None, None)
+
+
 def build_swap_graph(graphs: list[LoopyGraph], include_triangle: bool = True) -> SwapGraph:
     """Adjacency, via one-move neighborhoods, over an enumerated space."""
-    edge_sets = [g.edges for g in graphs]
-    bit, masks, set_index = _code_space(max((g.n for g in graphs), default=0), edge_sets)
-    parent = list(range(len(graphs)))
-    double_adj = []
-    for i, es in enumerate(edge_sets):
-        double = _double_targets(sorted(es), es, masks[i], bit, set_index)
-        double_adj.append(_sorted_neighbors(i, double))
-        _union(parent, i, double)
-    comp_d, ncomp_d = _labels(parent)
-    triangle_adj, comp_t, ncomp_t = None, None, None
-    if include_triangle:
-        triangle_adj = []
-        for i, es in enumerate(edge_sets):
-            triangle = _triangle_targets(sorted(es), es, masks[i], bit, set_index)
-            triangle_adj.append(_sorted_neighbors(i, triangle))
-            _union(parent, i, triangle)
-        comp_t, ncomp_t = _labels(parent)
+    double, comp_d, ncomp_d, triangle, comp_t, ncomp_t = _move_pass(
+        max((g.n for g in graphs), default=0), [sorted(g.edges) for g in graphs],
+        include_triangle)
     return SwapGraph(
         nodes=list(graphs),
         index={g.canonical_key(): i for i, g in enumerate(graphs)},
-        double_adjacency=double_adj,
-        triangle_adjacency=triangle_adj,
+        double_adjacency=[_sorted_neighbors(i, js) for i, js in enumerate(double)],
+        triangle_adjacency=(None if triangle is None else
+                            [_sorted_neighbors(i, js) for i, js in enumerate(triangle)]),
         components_double=comp_d,
         n_components_double=ncomp_d,
         components_triangle=comp_t,
@@ -325,39 +333,22 @@ def verify_sequence(ds, max_sum: int = DEFAULT_ENUM_BOUND) -> dict:
         raise BoundExceeded(f"degree sum {sum(ds)} exceeds bound {max_sum}")
     mstar = max_loop_count(ds)  # raises NotLoopyGraphical for infeasible input
     n = len(ds)
-    edge_sets = list(_enumerate_edge_sets(ds))
-    count = len(edge_sets)
-    bit, masks, set_index = _code_space(n, edge_sets)
+    edge_lists = list(_enumerate_edge_lists(ds))
+    count = len(edge_lists)
 
     trap_class = [0] * count  # bit 0: clique trap, bit 1: cycle trap
     loops = [0] * count
     maxloopy = [False] * count
-    for i, es in enumerate(edge_sets):
-        g = LoopyGraph.from_edge_set(n, es)
+    for i, edges in enumerate(edge_lists):
+        g = LoopyGraph.from_edge_set(n, frozenset(edges))
         trap_class[i] = is_in_clique_trap(g) | is_in_cycle_trap(g) << 1
         loops[i] = g.loop_count()
         # is_max_loopy rejects every other loop count; skip its degree scan
         maxloopy[i] = loops[i] == mstar and is_max_loopy(g, mstar)
 
-    # one union-find: double swaps first, then the same forest continued with
-    # the triangle/loop exchanges
-    parent = list(range(count))
-    triangle_moves = []
-    closure_ok = True
-    for i, es in enumerate(edge_sets):
-        edge_list = sorted(es)
-        double = _double_targets(edge_list, es, masks[i], bit, set_index)
-        _union(parent, i, double)
-        triangle = _triangle_targets(edge_list, es, masks[i], bit, set_index)
-        if triangle:
-            triangle_moves.append((i, triangle))
-        cls = trap_class[i]
-        if cls and closure_ok:
-            closure_ok = all(trap_class[j] == cls for j in double)
-    comp_d, ncomp_d = _labels(parent)
-    for i, triangle in triangle_moves:
-        _union(parent, i, triangle)
-    _, ncomp_t = _labels(parent)
+    double, comp_d, ncomp_d, _, _, ncomp_t = _move_pass(n, edge_lists)
+    closure_ok = all(trap_class[j] == cls
+                     for cls, targets in zip(trap_class, double) if cls for j in targets)
     disconnected = ncomp_d > 1
     q1_count = sum(c & 1 for c in trap_class)
     q2_count = sum(c >> 1 for c in trap_class)
@@ -370,8 +361,8 @@ def verify_sequence(ds, max_sum: int = DEFAULT_ENUM_BOUND) -> dict:
     members: list[list[int]] = [[] for _ in range(ncomp_d)]
     for i, c in enumerate(comp_d):
         members[c].append(i)
-    check_g = all(maxloopy[i] or _has_loopless_triangle(edge_sets[i])
-                  for group in members for i in _representatives(group, loops, edge_sets))
+    check_g = all(maxloopy[i] or _has_loopless_triangle(edge_lists[i])
+                  for group in members for i in _representatives(group, loops, edge_lists))
 
     detected = detect_disconnected(ds).status == "disconnected"
     checks = {

@@ -1,16 +1,21 @@
 """Command line behavior: output formats, stream separation, and exit codes."""
 
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from loopygraphs.cli import main
-from loopygraphs.degseq import max_loop_count, parse_degree_sequences
+from loopygraphs.degseq import is_loopy_graphical, max_loop_count, parse_degree_sequences
 from loopygraphs.graph import parse_edge_list
 from loopygraphs.oracle import verify_sequence
+
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
 
 
 def run_cli(capsys, *argv):
@@ -341,3 +346,51 @@ def test_python_m_cli_module_runs_cli():
     proc = run_module("loopygraphs.cli", "check", "--seq", "1,1,1")
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: no loopy graph realizes")
+
+
+def check_batch_sequences():
+    """Sequences of the kinds a ``check`` batch mixes: two heavy-tailed ones
+    whose degree-1 share holds m* far below the number of entries >= 2, three
+    certified by the degree bound, one of each form the detector names, and
+    the 363 small sequences of degree sums 16-22."""
+    rng = random.Random(2)
+    heavy = []
+    while len(heavy) < 2:
+        ds = [1] * 840 + [300] * 6 + [min(300, int(2 * (1.0 - rng.random()) ** (-1 / 1.2)))
+                                      for _ in range(654)]
+        if sum(ds) % 2:
+            ds[-1] += 1
+        rng.shuffle(ds)
+        if is_loopy_graphical(ds):
+            heavy.append(ds)
+    certified = []
+    for _ in range(3):
+        ds = [rng.randint(1, 40) for _ in range(2000)]
+        if sum(ds) % 2:
+            ds[0] += 1 if ds[0] < 40 else -1
+        certified.append(ds)
+    forms = [[2] * 300, [24] * 25, [12] * 3 + [10] * 8, [10] * 3 + [5] * 6]
+    for ds in forms:
+        rng.shuffle(ds)
+    small = [[int(d) for d in key.split(",")]
+             for key in sorted(json.loads(REFERENCE.read_text())["small_check"])]
+    seqs = heavy + certified + forms + small
+    rng.shuffle(seqs)
+    return seqs
+
+
+def test_check_batch_output_is_pinned(tmp_path):
+    """The bytes ``check --format json`` writes for a mixed batch, pinned by a
+    digest recorded from the loop-count scan that re-sorted once per count."""
+    seq_file = tmp_path / "batch.seq"
+    out_file = tmp_path / "batch.jsonl"
+    seq_file.write_text("".join(",".join(map(str, ds)) + "\n" for ds in check_batch_sequences()))
+    assert main(["check", "--seq-file", str(seq_file), "--format", "json",
+                 "--out", str(out_file)]) == 0
+    output = out_file.read_bytes()
+    objs = [json.loads(line) for line in output.splitlines()]
+    assert len(objs) == 372
+    assert {"cycle", "clique", "looped_clique", "hub_triangle"} <= {o["detail"] for o in objs}
+    # the heavy sequences: m* far below the 660 entries >= 2
+    assert sorted(o["m_star"] for o in objs if len(o["sequence"]) == 1500) == [335, 542]
+    assert hashlib.sha256(output).hexdigest() == "701a35af41e6363bb18fa664e07f20fa50da3f0dd194b927ed26f3a1a6304f67"

@@ -105,6 +105,43 @@ def test_max_loop_count_matches_plain_scan():
                 assert max_loop_count(ds) == expected, ds
 
 
+def naive_max_loop_count(degrees):
+    """Loop counts scanned from the number of entries >= 2 down, each
+    decided by the direct inequality scan."""
+    ds = sorted(degrees, reverse=True)
+    for m in range(sum(d >= 2 for d in ds), -1, -1):
+        if naive_simple_graphical([d - 2 for d in ds[:m]] + ds[m:]):
+            return m
+    raise NotLoopyGraphical(f"no loopy graph realizes {tuple(ds)}")
+
+
+def test_max_loop_count_matches_naive_scan_far_below_the_loop_ceiling():
+    """Seeded sequences of up to 300 vertices whose degree-1 share and hubs
+    put m* at least 20 below the number of entries >= 2, so the scan tests
+    many loop counts."""
+    rng = random.Random(1)
+    checked = 0
+    while checked < 8:
+        n = rng.randint(40, 300)
+        ones = int(0.56 * n)
+        dmax = n // 5
+        ds = [1] * ones + [min(dmax, int(2 * (1.0 - rng.random()) ** (-1 / 1.2)))
+                           for _ in range(n - ones)]
+        hubs = rng.randint(2, 8)
+        ds[-hubs:] = [dmax] * hubs
+        if sum(ds) % 2:
+            ds[0] += 1
+        rng.shuffle(ds)
+        try:
+            m = max_loop_count(ds)
+        except NotLoopyGraphical:
+            continue
+        if m > sum(d >= 2 for d in ds) - 20:
+            continue
+        assert m == naive_max_loop_count(ds), ds
+        checked += 1
+
+
 def test_max_loop_count_rejects_infeasible():
     with pytest.raises(NotLoopyGraphical):
         max_loop_count((3, 2))

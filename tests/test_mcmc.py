@@ -34,7 +34,7 @@ from loopygraphs.mcmc import (
     sample_stream,
 )
 from loopygraphs.oracle import enumerate_loopy_graphs, stationary_distribution
-from loopygraphs.swaps import double_neighbor_edge_sets, triangle_neighbor_edge_sets
+from test_swaps import double_moves, triangle_moves
 
 
 class ScriptedRNG:
@@ -124,11 +124,10 @@ def test_detailed_balance_exact(ds, mode, eps):
     # the chain moves to exactly the states the oracle's generators list
     index = {g.edges: a for a, g in enumerate(graphs)}
     for a, g in enumerate(graphs):
-        edge_list = sorted(g.edges)
-        moves = list(double_neighbor_edge_sets(edge_list, g.edges))
+        moves = double_moves(g)
         if eps:
-            moves.extend(triangle_neighbor_edge_sets(edge_list, g.edges))
-        targets = {index[g.edges.difference(removed).union(added)] for removed, added in moves}
+            moves += triangle_moves(g)
+        targets = {index[es] for es in moves}
         assert {b for b in range(n) if b != a and P[a][b]} == targets, a
 
 

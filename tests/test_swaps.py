@@ -1,5 +1,8 @@
 """Double edge swaps and triangle/loop exchanges, through the generators that
-list every valid move of a graph."""
+list every valid move of a graph as the code of the graph it leads to."""
+
+from collections import Counter
+from itertools import combinations
 
 from loopygraphs.graph import LoopyGraph
 from loopygraphs.oracle import enumerate_loopy_graphs
@@ -18,21 +21,41 @@ def three_loops():
     return LoopyGraph(3, [(0, 0), (1, 1), (2, 2)])
 
 
-def apply(edge_set, move):
-    removed, added = move
-    return edge_set.difference(removed).union(added)
+def pair_bits(n):
+    """A pair-bit table for ``n`` vertices: one bit per pair {u, v}."""
+    table = [[0] * n for _ in range(n)]
+    pairs = [(u, v) for u in range(n) for v in range(u, n)]
+    for k, (u, v) in enumerate(pairs):
+        table[u][v] = table[v][u] = 1 << k
+    return table
+
+
+def decode(code, table):
+    n = len(table)
+    return frozenset((u, v) for u in range(n) for v in range(u, n) if code & table[u][v])
+
+
+def coded_moves(gen, g):
+    """The graph after each move ``gen`` yields from ``g``, as an edge set."""
+    table = pair_bits(g.n)
+    code = sum(table[u][v] for u, v in g.edges)
+    return [decode(c, table) for c in gen(sorted(g.edges), code, table)]
 
 
 def double_moves(g):
-    return [apply(g.edges, m) for m in double_neighbor_edge_sets(sorted(g.edges), g.edges)]
+    return coded_moves(double_neighbor_edge_sets, g)
 
 
 def double_neighbors(g):
     return set(double_moves(g))
 
 
+def triangle_moves(g):
+    return coded_moves(triangle_neighbor_edge_sets, g)
+
+
 def triangle_neighbors(g):
-    return {apply(g.edges, m) for m in triangle_neighbor_edge_sets(sorted(g.edges), g.edges)}
+    return set(triangle_moves(g))
 
 
 def test_replacements_two_pairings():
@@ -130,17 +153,57 @@ def test_neighbors_never_include_source():
 
 
 def test_moves_remove_present_and_add_absent_edges():
-    """What applying a move as bit flips relies on: removed edges are in the
-    graph, added edges are normalized, distinct, and not in the graph."""
+    """Each yielded code is a move applied as bit flips: exactly two (double)
+    or three (triangle) edges of the graph cleared, as many absent pairs set,
+    and no bit outside the pair table."""
     for ds in [(2, 2, 2, 2), (3, 3, 2, 2), (5, 3, 3, 3), (2, 2, 2, 2, 2)]:
         for g in enumerate_loopy_graphs(ds):
-            edge_list = sorted(g.edges)
+            table = pair_bits(g.n)
+            code = sum(table[u][v] for u, v in g.edges)
             for size, gen in ((2, double_neighbor_edge_sets), (3, triangle_neighbor_edge_sets)):
-                for removed, added in gen(edge_list, g.edges):
-                    assert len(set(removed)) == len(set(added)) == size
-                    assert set(removed) <= g.edges
-                    assert not set(added) & g.edges
-                    assert all(u <= v for u, v in added)
+                for c in gen(sorted(g.edges), code, table):
+                    es = decode(c, table)
+                    assert sum(table[u][v] for u, v in es) == c
+                    assert len(g.edges - es) == len(es - g.edges) == size
+
+
+def naive_moves(edges, n):
+    """Every double swap and triangle/loop exchange of ``edges``, each as the
+    edge set it leads to, listed from set operations alone: a multiset of
+    double-swap results (a swap that removes a loop counts once per
+    pairing) and one of exchange results."""
+    def pair(a, b):
+        return (a, b) if a <= b else (b, a)
+
+    double = Counter()
+    for (u, v), (x, y) in combinations(sorted(edges), 2):
+        for a1, a2 in ((pair(u, x), pair(v, y)), (pair(u, y), pair(v, x))):
+            if a1 != a2 and a1 not in edges and a2 not in edges:
+                double[edges - {(u, v), (x, y)} | {a1, a2}] += 1
+    triangle = Counter()
+    for p, q, r in combinations(range(n), 3):
+        loops = {(p, p), (q, q), (r, r)}
+        tri = {(p, q), (p, r), (q, r)}
+        if loops <= edges and not tri & edges:
+            triangle[edges - loops | tri] += 1
+        if tri <= edges and not loops & edges:
+            triangle[edges - tri | loops] += 1
+    return double, triangle
+
+
+def test_coded_moves_match_naive_move_list():
+    """Decoded neighbour multisets equal a set-based move list over whole
+    spaces with both pairings, loops and triangles."""
+    seen = set()  # loop-count changes of the exchanges, and repeated swaps
+    for ds in [(2, 2, 2, 2, 2), (4, 3, 3, 2, 2), (3, 3, 3, 3), (3, 3, 2, 2, 1, 1)]:
+        for g in enumerate_loopy_graphs(ds):
+            double, triangle = naive_moves(g.edges, g.n)
+            assert Counter(double_moves(g)) == double, sorted(g.edges)
+            assert Counter(triangle_moves(g)) == triangle, sorted(g.edges)
+            seen.update(sum(u == v for u, v in es) - g.loop_count() for es in triangle)
+            if 2 in double.values():
+                seen.add("twice")
+    assert seen == {3, -3, "twice"}
 
 
 def test_neighborhood_properties_exhaustive():
