@@ -28,14 +28,11 @@ from .degseq import (
     realize_loopy_graph,
 )
 from .graph import (
-    LayerDecomposition,
     LoopyGraph,
     MultiedgeError,
     format_edge_list,
-    is_clique,
     is_in_clique_trap,
     is_in_cycle_trap,
-    layer_decomposition,
     normalize_edge,
     parse_edge_list,
 )
@@ -78,9 +75,6 @@ __all__ = [
     # graph
     "LoopyGraph",
     "MultiedgeError",
-    "LayerDecomposition",
-    "layer_decomposition",
-    "is_clique",
     "is_in_clique_trap",
     "is_in_cycle_trap",
     "normalize_edge",

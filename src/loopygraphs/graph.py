@@ -7,16 +7,11 @@ at ``u`` is the pair ``(u, u)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 __all__ = [
     "Edge",
     "MultiedgeError",
     "LoopyGraph",
-    "LayerDecomposition",
     "normalize_edge",
-    "layer_decomposition",
-    "is_clique",
     "is_in_clique_trap",
     "is_in_cycle_trap",
     "parse_edge_list",
@@ -53,7 +48,7 @@ class LoopyGraph:
         self-loop at one vertex).
     """
 
-    __slots__ = ("n", "edges", "_adj", "_trap")
+    __slots__ = ("n", "edges", "_layers")
 
     def __init__(self, n: int, edges=()):
         if n < 0:
@@ -68,8 +63,7 @@ class LoopyGraph:
             seen.add(e)
         self.n = n
         self.edges = frozenset(seen)
-        self._adj = None
-        self._trap = None
+        self._layers = None
 
     @classmethod
     def from_edge_set(cls, n: int, edge_set: frozenset) -> "LoopyGraph":
@@ -77,28 +71,16 @@ class LoopyGraph:
         g = object.__new__(cls)
         g.n = n
         g.edges = edge_set
-        g._adj = None
-        g._trap = None
+        g._layers = None
         return g
 
     # -- basic queries -----------------------------------------------------
-
-    def _adjacency(self) -> list[set[int]]:
-        adj = self._adj
-        if adj is None:
-            adj = [set() for _ in range(self.n)]
-            for u, v in self.edges:
-                if u != v:
-                    adj[u].add(v)
-                    adj[v].add(u)
-            self._adj = adj
-        return adj
 
     def neighbors(self, u: int) -> set[int]:
         """Vertices joined to ``u`` by a non-loop edge (never includes ``u``)."""
         if not 0 <= u < self.n:
             raise IndexError(f"vertex {u} out of range")
-        return set(self._adjacency()[u])
+        return {v for e in self.edges if u in e for v in e if v != u}
 
     def has_loop(self, u: int) -> bool:
         if not 0 <= u < self.n:
@@ -106,7 +88,7 @@ class LoopyGraph:
         return (u, u) in self.edges
 
     def degree(self, u: int) -> int:
-        return len(self._adjacency()[u]) + (2 if (u, u) in self.edges else 0)
+        return len(self.neighbors(u)) + 2 * self.has_loop(u)
 
     def degree_sequence(self) -> tuple[int, ...]:
         """Per-vertex degrees in vertex order; a loop counts two."""
@@ -163,72 +145,54 @@ class LoopyGraph:
         return f"LoopyGraph(n={self.n}, edges={sorted(self.edges)})"
 
 
-@dataclass(frozen=True)
-class LayerDecomposition:
-    """Vertices grouped by shortest distance to the loop-free set.
-
-    ``loopless`` holds every vertex without a self-loop (isolated vertices
-    included); ``depth`` maps each remaining reachable vertex to its BFS
-    distance (>= 1); ``unreachable`` holds vertices with no path to the
-    loop-free set.
-    """
-
-    loopless: frozenset[int]
-    depth: dict[int, int] = field(compare=False)
-    unreachable: frozenset[int] = frozenset()
-
-    def layer(self, k: int) -> frozenset[int]:
-        if k == 0:
-            return self.loopless
-        return frozenset(v for v, d in self.depth.items() if d == k)
-
-    def max_depth(self) -> int:
-        return max(self.depth.values(), default=0)
+def _spread(nbr: list[int], mask: int) -> int:
+    """Union of the neighbour masks of the vertices in ``mask``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= nbr[low.bit_length() - 1]
+        mask ^= low
+    return out
 
 
-def layer_decomposition(graph: LoopyGraph) -> LayerDecomposition:
-    """Multi-source BFS from all loop-free vertices."""
-    loopless = frozenset(u for u in range(graph.n) if (u, u) not in graph.edges)
-    adj = graph._adjacency()
-    depth: dict[int, int] = {}
-    frontier = list(loopless)
-    d = 0
-    seen = set(loopless)
-    while frontier:
-        d += 1
-        nxt = []
-        for u in frontier:
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    depth[v] = d
-                    nxt.append(v)
-        frontier = nxt
-    unreachable = frozenset(v for v in range(graph.n) if v not in seen)
-    return LayerDecomposition(loopless=loopless, depth=depth, unreachable=unreachable)
-
-
-def is_clique(graph: LoopyGraph, vertices) -> bool:
-    """True when every pair of distinct vertices in ``vertices`` is adjacent."""
-    vs = sorted(set(vertices))
-    edges = graph.edges
-    for i, u in enumerate(vs):
-        for v in vs[i + 1:]:
-            if (u, v) not in edges:
-                return False
+def _is_clique(nbr: list[int], mask: int) -> bool:
+    """True when every two distinct vertices of ``mask`` are adjacent."""
+    rest = mask
+    while rest:
+        low = rest & -rest
+        if (nbr[low.bit_length() - 1] | low) & mask != mask:
+            return False
+        rest ^= low
     return True
 
 
-def _trap_context(graph: LoopyGraph):
-    """Shared setup for the two swap-trap membership tests, worked out once
-    per graph (graphs are immutable)."""
-    ctx = graph._trap
-    if ctx is None:
-        ld = layer_decomposition(graph)
-        v1 = frozenset(v for v, d in ld.depth.items() if d == 1)
-        deeper = [v for v, d in ld.depth.items() if d >= 2]
-        ctx = graph._trap = (ld, graph._adjacency(), v1, deeper)
-    return ctx
+def _layers(graph: LoopyGraph):
+    """Neighbour bitmasks and the first BFS layers from the loop-free set.
+
+    Returns ``(nbr, core, v1, v2, far)``. Bit ``v`` of ``nbr[u]`` is set when
+    ``u`` and ``v`` share a non-loop edge. Layer 0 is every vertex without a
+    loop (isolated ones included); ``core`` is the part of it with a
+    neighbour inside layer 0. ``v1`` and ``v2`` are the vertices at distance
+    1 and 2 from layer 0, and ``far`` is everything else: vertices at
+    distance >= 3 and those with no path to layer 0. Graphs are immutable,
+    so the result is kept on the graph and both trap tests share it.
+    """
+    layers = graph._layers
+    if layers is None:
+        nbr = [0] * graph.n
+        looped = 0
+        for u, v in graph.edges:
+            if u == v:
+                looped |= 1 << u
+            else:
+                nbr[u] |= 1 << v
+                nbr[v] |= 1 << u
+        v0 = ((1 << graph.n) - 1) ^ looped
+        near = _spread(nbr, v0)
+        core, v1 = near & v0, near & looped
+        v2 = _spread(nbr, v1) & looped & ~v1
+        layers = graph._layers = (nbr, core, v1, v2, looped & ~v1 & ~v2)
+    return layers
 
 
 def is_in_clique_trap(graph: LoopyGraph) -> bool:
@@ -238,14 +202,10 @@ def is_in_clique_trap(graph: LoopyGraph) -> bool:
     a clique of size >= 4, that clique plus all distance-1 vertices is also
     a clique, and nothing lies at distance >= 2 or unreachable.
     """
-    ld, adj, v1, deeper = _trap_context(graph)
-    if deeper or ld.unreachable:
+    nbr, core, v1, v2, far = _layers(graph)
+    if v2 or far or core.bit_count() < 4:
         return False
-    loopless = ld.loopless
-    core = [u for u in loopless if adj[u] & loopless]
-    if len(core) < 4:
-        return False
-    return is_clique(graph, set(core) | v1)
+    return _is_clique(nbr, core | v1)
 
 
 def is_in_cycle_trap(graph: LoopyGraph) -> bool:
@@ -258,30 +218,21 @@ def is_in_cycle_trap(graph: LoopyGraph) -> bool:
     distance >= 3; unreachable vertices are allowed only when the distance-1
     set is empty and each such vertex has degree exactly 2.
     """
-    ld, adj, v1, deeper = _trap_context(graph)
-    v2 = {v for v in deeper if ld.depth[v] == 2}
-    if len(v2) != len(deeper):
+    nbr, core, v1, v2, far = _layers(graph)
+    if core.bit_count() < 3:
         return False
-    if ld.unreachable:
-        if v1:
-            return False
-        if any(graph.degree(v) != 2 for v in ld.unreachable):
-            return False
-    loopless = ld.loopless
-    core = [u for u in loopless if adj[u] & loopless]
-    if len(core) < 3:
+    # With v1 empty, far is exactly the unreachable set, whose vertices carry
+    # loops: degree 2 means no other edge. With v1 set, far must be empty; a
+    # distance-3 vertex would also break the distance-2 rule below.
+    if far and (v1 or _spread(nbr, far)):
         return False
-    for u in core:
-        if len(adj[u] & loopless) != 2:
+    for u, m in enumerate(nbr):
+        bit = 1 << u
+        if core & bit and ((m & core).bit_count() != 2 or m & v1 != v1):
             return False
-        if not v1 <= adj[u]:
+        if v2 & bit and m != v1:
             return False
-    if not is_clique(graph, v1):
-        return False
-    for u in v2:
-        if adj[u] != v1:
-            return False
-    return True
+    return _is_clique(nbr, v1)
 
 
 # -- plain-text edge lists -------------------------------------------------

@@ -6,10 +6,8 @@ from loopygraphs.graph import (
     LoopyGraph,
     MultiedgeError,
     format_edge_list,
-    is_clique,
     is_in_clique_trap,
     is_in_cycle_trap,
-    layer_decomposition,
     normalize_edge,
     parse_edge_list,
 )
@@ -21,6 +19,20 @@ def triangle():
 
 def all_loops(n):
     return LoopyGraph(n, [(v, v) for v in range(n)])
+
+
+def hub_and_pendant(extra=()):
+    """Loops on 0 and 1, 0 joined to 1 and to the loop-free triangle 2-3-4,
+    plus ``extra`` edges on a sixth vertex when given."""
+    edges = [(0, 0), (1, 1), (0, 1), (0, 2), (0, 3), (0, 4), (2, 3), (2, 4), (3, 4)]
+    return LoopyGraph(6 if extra else 5, edges + list(extra))
+
+
+def two_hubs(extra=()):
+    """Looped vertices 0 and 1, each joined to all of the loop-free triangle
+    2-3-4, plus ``extra`` edges."""
+    edges = [(0, 0), (1, 1), (2, 3), (2, 4), (3, 4)] + [(h, c) for h in (0, 1) for c in (2, 3, 4)]
+    return LoopyGraph(5, edges + list(extra))
 
 
 def test_normalize_edge():
@@ -124,37 +136,6 @@ def test_from_edge_set_trusts_and_validate_rechecks():
         out.validate()
 
 
-def test_layer_decomposition_depths():
-    # loops on 0 and 1; 0 is a hub over the loop-free triangle, 1 hangs off 0
-    g = LoopyGraph(5, [(0, 0), (1, 1), (0, 1), (0, 2), (0, 3), (0, 4),
-                       (2, 3), (2, 4), (3, 4)])
-    ld = layer_decomposition(g)
-    assert ld.loopless == frozenset({2, 3, 4})
-    assert ld.depth == {0: 1, 1: 2}
-    assert ld.layer(0) == frozenset({2, 3, 4})
-    assert ld.layer(1) == frozenset({0})
-    assert ld.layer(2) == frozenset({1})
-    assert ld.max_depth() == 2
-    assert ld.unreachable == frozenset()
-
-
-def test_layer_decomposition_unreachable():
-    # triangle plus an isolated looped vertex
-    g = LoopyGraph(4, [(0, 1), (0, 2), (1, 2), (3, 3)])
-    ld = layer_decomposition(g)
-    assert ld.loopless == frozenset({0, 1, 2})
-    assert ld.depth == {}
-    assert ld.unreachable == frozenset({3})
-
-
-def test_is_clique():
-    g = LoopyGraph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
-    assert is_clique(g, [0, 1, 2])
-    assert not is_clique(g, [0, 1, 2, 3])
-    assert is_clique(g, [3])
-    assert is_clique(g, [])
-
-
 def test_clique_trap_members():
     # clique of five with one loop on the inside vertex
     k5_loop = LoopyGraph(5, [(0, 0)] + [(i, j) for i in range(5) for j in range(i + 1, 5)])
@@ -171,6 +152,8 @@ def test_clique_trap_non_members():
     # clique core of three only (K4 plus one loop)
     k4_loop = LoopyGraph(4, [(0, 0)] + [(i, j) for i in range(4) for j in range(i + 1, 4)])
     assert not is_in_clique_trap(k4_loop)
+    # loop-free core of four that is not a clique (triangle plus a pendant)
+    assert not is_in_clique_trap(LoopyGraph(4, [(0, 1), (0, 2), (1, 2), (2, 3)]))
     # vertex at distance 2 disqualifies
     g = LoopyGraph(6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
                        (4, 4), (3, 4), (5, 5), (4, 5)])
@@ -190,6 +173,11 @@ def test_cycle_trap_members():
     # triangle plus an isolated loop (unreachable, degree two)
     g = LoopyGraph(4, [(0, 1), (0, 2), (1, 2), (3, 3)])
     assert is_in_cycle_trap(g)
+    # loops on 0 and 1; 0 is a hub over the loop-free triangle 2-3-4 (distance
+    # 1) and 1 hangs off 0 (distance 2, its neighborhood is the distance-1 set)
+    assert is_in_cycle_trap(hub_and_pendant())
+    # two looped hubs over the triangle 2-3-4: a distance-1 clique of two
+    assert is_in_cycle_trap(two_hubs([(0, 1)]))
 
 
 def test_cycle_trap_non_members():
@@ -202,6 +190,14 @@ def test_cycle_trap_non_members():
     # core vertex with three core neighbors (K4 loop-free) is the clique case
     k4 = LoopyGraph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
     assert not is_in_cycle_trap(k4)
+    # a looped vertex 5 off vertex 1 sits at distance 3
+    g = hub_and_pendant([(5, 5), (1, 5)])
+    assert not is_in_cycle_trap(g)
+    # 5 joined to 0 and 1: the distance-2 vertices 1 and 5 see more than {0}
+    g = hub_and_pendant([(5, 5), (0, 5), (1, 5)])
+    assert not is_in_cycle_trap(g)
+    # the two hubs not joined: the distance-1 set is not a clique
+    assert not is_in_cycle_trap(two_hubs())
 
 
 def test_trap_classes_disjoint_on_examples():

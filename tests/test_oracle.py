@@ -211,17 +211,23 @@ CHECK_G_FAILS = {"5,5,5,3,2", "6,5,5,3,2,1", "5,5,5,3,2,2"}
 def test_small_check_sequences_match_independent_enumerator():
     """The 363 sequences of degree sums 16-22 that the benchmark brute-forces
     with its own enumerator: counts and components agree, checks a-f hold,
-    and g fails on exactly the three known sequences."""
+    and g fails on exactly the three known sequences. The trap-class counts
+    are pinned by a digest recorded from the object-based layer
+    decomposition that the bitmask predicates replaced."""
     reference = json.loads(REFERENCE.read_text())["small_check"]
     assert len(reference) == 363
     g_fails = set()
+    trap_counts = []
     for key, ref in reference.items():
         r = verify_sequence([int(d) for d in key.split(",")], max_sum=22)
         assert (r["n_graphs"], r["components_double"]) == (ref["graphs"], ref["components"]), key
         assert all(r["checks"][c] for c in "abcdef"), (key, r["checks"])
         if not r["checks"]["g"]:
             g_fails.add(key)
+        trap_counts.append([key, r["q1_count"], r["q2_count"]])
     assert g_fails == CHECK_G_FAILS
+    digest = hashlib.sha256(json.dumps(trap_counts, separators=(",", ":")).encode()).hexdigest()
+    assert digest == "f9fa3eace937b9905065d5806dbe8fe1358b4546c83f73f56f7bb1ac944afcdb"
 
 
 def test_check_meanings_cover_report():

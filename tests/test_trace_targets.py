@@ -1,7 +1,8 @@
 """The benchmark's per-layer trace still binds to the code it times: every
 ``layer_targets`` entry is rebound, and the two ``swaps`` generators are
 driven through the tracer's generator wrapper, which needs them to keep
-their names and stay generator functions."""
+their names and stay generator functions. The oracle must also still call the
+two trap predicates by the names the tracer rebinds."""
 
 import sys
 from pathlib import Path
@@ -25,7 +26,8 @@ def test_layer_targets_trace_the_swap_generators(capsys):
     totals, counts = tracer.take()
     assert report["n_graphs"] > 1
     for name in ("swaps.double_neighbor_edge_sets", "swaps.triangle_neighbor_edge_sets",
-                 "oracle.verify_sequence", "cli.main", "degseq.check_connectivity"):
+                 "oracle.verify_sequence", "graph.trap_predicates", "cli.main",
+                 "degseq.check_connectivity"):
         assert totals[name][0] > 0, name
     assert counts["swaps.double_neighbor_edge_sets.yielded"] > 0
     assert counts["oracle.graphs"] == report["n_graphs"]
