@@ -60,8 +60,6 @@ from .oracle import (
     components,
     enumerate_loopy_graphs,
     generate_sequences,
-    is_max_loopy,
-    max_loop_representatives,
     run_sweep,
     stationary_distribution,
     to_dot,
@@ -116,9 +114,7 @@ __all__ = [
     "enumerate_loopy_graphs",
     "build_swap_graph",
     "components",
-    "max_loop_representatives",
     "stationary_distribution",
-    "is_max_loopy",
     "verify_sequence",
     "generate_sequences",
     "run_sweep",

@@ -207,9 +207,9 @@ class LoopyChain:
         no_triangles = m < 3
         track = occupancy is not None
         # while running, stays are banked under the positional edge tuple and
-        # folded into sorted-edge keys once, at the end
-        bank: dict[tuple, int] = {}
-        key = tuple(edges) if track else None
+        # folded into sorted-edge keys once, at the end; an accepted move at
+        # step g first banks the slots its old state held, if any passed
+        bank: Counter = Counter()
         held = 0  # retained slot (completed steps // stride) of the current state
         acc_d = acc_t = rej_d_inv = rej_d_filt = rej_t_inv = rej_t_filt = 0
 
@@ -250,6 +250,9 @@ class LoopyChain:
                         # vertex mode: exactly one loop selected
                         rej_d_filt += 1
                         continue
+                    if track and g // stride != held:
+                        bank[tuple(edges)] += g // stride - held
+                        held = g // stride
                     remove(e1)
                     remove(e2)
                     add(a1)
@@ -274,6 +277,9 @@ class LoopyChain:
                             rej_t_inv += 1
                             continue
                         # loops -> triangle: accepted outright in both modes
+                        if track and g // stride != held:
+                            bank[tuple(edges)] += g // stride - held
+                            held = g // stride
                         remove(e1)
                         remove(e2)
                         remove(e3)
@@ -298,6 +304,9 @@ class LoopyChain:
                             # stub mode damps triangle -> loops by 1/8
                             rej_t_filt += 1
                             continue
+                        if track and g // stride != held:
+                            bank[tuple(edges)] += g // stride - held
+                            held = g // stride
                         remove(e1)
                         remove(e2)
                         remove(e3)
@@ -309,13 +318,6 @@ class LoopyChain:
                     else:
                         rej_t_inv += 1
                         continue
-                if track:
-                    # state changed at step g; bank the stay in the old state
-                    slot = g // stride
-                    if slot != held:
-                        bank[key] = bank.get(key, 0) + slot - held
-                        held = slot
-                    key = tuple(edges)
             done += block
 
         stats = self.stats
@@ -328,7 +330,7 @@ class LoopyChain:
         if track and steps:
             stay = steps // stride - held
             if stay:
-                bank[key] = bank.get(key, 0) + stay
+                bank[tuple(edges)] += stay
             for positional, count in bank.items():
                 state = tuple(sorted(positional))
                 occupancy[state] = occupancy.get(state, 0) + count

@@ -18,12 +18,7 @@ import os
 from dataclasses import dataclass
 from itertools import combinations
 
-from .degseq import (
-    detect_disconnected,
-    is_loopy_graphical,
-    max_degree_guarantees_connected,
-    max_loop_count,
-)
+from .degseq import detect_disconnected, is_loopy_graphical, max_degree_guarantees_connected
 from .graph import LoopyGraph, is_in_clique_trap, is_in_cycle_trap
 from .swaps import double_neighbor_edge_sets, triangle_neighbor_edge_sets
 
@@ -35,9 +30,7 @@ __all__ = [
     "enumerate_loopy_graphs",
     "build_swap_graph",
     "components",
-    "max_loop_representatives",
     "stationary_distribution",
-    "is_max_loopy",
     "verify_sequence",
     "generate_sequences",
     "run_sweep",
@@ -51,8 +44,9 @@ CHECK_MEANINGS = {
     "c": "triangle/loop exchanges make the space one component",
     "d": "max-degree certificate never contradicts brute-force components",
     "e": "peeling detector verdict matches brute-force components",
-    "f": "all max-loop realizations share one double-swap component",
-    "g": "max-loop representatives without a loop-free triangle are max-loopy",
+    # max-loopy: carries m* loops, the most any realization carries
+    "f": "all max-loopy realizations share one double-swap component",
+    "g": "each component's most-loop realizations are max-loopy or have a loop-free triangle",
 }
 
 
@@ -247,11 +241,6 @@ def components(swap_graph: SwapGraph, triangle: bool = False) -> tuple[list[int]
     return list(swap_graph.components_double), swap_graph.n_components_double
 
 
-def _loopless_internal_edge_count(edge_set) -> int:
-    looped = {u for u, v in edge_set if u == v}
-    return sum(1 for u, v in edge_set if u != v and u not in looped and v not in looped)
-
-
 def _has_loopless_triangle(edge_set) -> bool:
     looped = {u for u, v in edge_set if u == v}
     adj: dict[int, set[int]] = {}
@@ -263,46 +252,6 @@ def _has_loopless_triangle(edge_set) -> bool:
         if u != v and u in adj and v in adj and adj[u] & adj[v]:
             return True
     return False
-
-
-def _representatives(members: list[int], loops, edge_sets) -> list[int]:
-    """The members with the most self-loops, ties broken toward the most
-    edges among loop-free vertices; every member achieving both maxima, in
-    ``members`` order."""
-    best_loops = max(loops[i] for i in members)
-    tied = [i for i in members if loops[i] == best_loops]
-    scores = [_loopless_internal_edge_count(edge_sets[i]) for i in tied]
-    best_score = max(scores)
-    return [i for i, score in zip(tied, scores) if score == best_score]
-
-
-def is_max_loopy(graph: LoopyGraph, mstar: int | None = None) -> bool:
-    """Does the graph carry the maximum possible loops, placed on a
-    top-degree vertex set?  Ties at the cut are allowed: any loop placement
-    where every looped vertex's degree is >= every unlooped vertex's counts."""
-    ds = graph.degree_sequence()
-    if mstar is None:
-        mstar = max_loop_count(ds)
-    looped = [u for u, v in graph.edges if u == v]
-    if len(looped) != mstar:
-        return False
-    loop_set = set(looped)
-    lo = min((ds[u] for u in looped), default=None)
-    hi = max((ds[u] for u in range(graph.n) if u not in loop_set), default=None)
-    return lo is None or hi is None or lo >= hi
-
-
-def max_loop_representatives(swap_graph: SwapGraph, component: int) -> list[LoopyGraph]:
-    """Graphs of one double-swap component with the most self-loops; ties are
-    broken toward the most edges among loop-free vertices, and every graph
-    achieving both maxima is returned."""
-    members = [i for i, c in enumerate(swap_graph.components_double) if c == component]
-    if not members:
-        raise ValueError(f"no such component: {component}")
-    nodes = swap_graph.nodes
-    reps = _representatives(members, {i: nodes[i].loop_count() for i in members},
-                            {i: nodes[i].edges for i in members})
-    return [nodes[i] for i in reps]
 
 
 def stationary_distribution(graphs: list[LoopyGraph], mode: str) -> dict[bytes, float]:
@@ -324,27 +273,27 @@ def stationary_distribution(graphs: list[LoopyGraph], mode: str) -> dict[bytes, 
 def verify_sequence(ds, max_sum: int = DEFAULT_ENUM_BOUND) -> dict:
     """Brute-force the whole space of ``ds`` and run consistency checks a-g.
 
-    See ``CHECK_MEANINGS`` for what each letter asserts. The report is
-    JSON-ready: ``{sequence, n_graphs, components_double,
-    components_triangle, disconnected, q1_count, q2_count, checks}``.
+    See ``CHECK_MEANINGS`` for what each letter asserts. A realization is
+    max-loopy when it carries m* loops, the most any realization of ``ds``
+    carries; where the loops sit does not matter. The report is JSON-ready:
+    ``{sequence, n_graphs, components_double, components_triangle,
+    disconnected, q1_count, q2_count, checks}``.
     """
     ds = tuple(int(d) for d in ds)
     if sum(ds) > max_sum:
         raise BoundExceeded(f"degree sum {sum(ds)} exceeds bound {max_sum}")
-    mstar = max_loop_count(ds)  # raises NotLoopyGraphical for infeasible input
+    report = detect_disconnected(ds)  # raises NotLoopyGraphical for infeasible input
+    mstar = report.m_star
     n = len(ds)
     edge_lists = list(_enumerate_edge_lists(ds))
     count = len(edge_lists)
 
     trap_class = [0] * count  # bit 0: clique trap, bit 1: cycle trap
     loops = [0] * count
-    maxloopy = [False] * count
     for i, edges in enumerate(edge_lists):
         g = LoopyGraph.from_edge_set(n, frozenset(edges))
         trap_class[i] = is_in_clique_trap(g) | is_in_cycle_trap(g) << 1
         loops[i] = g.loop_count()
-        # is_max_loopy rejects every other loop count; skip its degree scan
-        maxloopy[i] = loops[i] == mstar and is_max_loopy(g, mstar)
 
     double, comp_d, ncomp_d, _, _, ncomp_t = _move_pass(n, edge_lists)
     closure_ok = all(trap_class[j] == cls
@@ -353,26 +302,18 @@ def verify_sequence(ds, max_sum: int = DEFAULT_ENUM_BOUND) -> dict:
     q1_count = sum(c & 1 for c in trap_class)
     q2_count = sum(c >> 1 for c in trap_class)
 
-    # f: every max-loop realization in one double-swap component
-    maxloopy_roots = {comp_d[i] for i in range(count) if maxloopy[i]}
-    check_f = len(maxloopy_roots) <= 1
-
-    # g: representatives without a loop-free triangle must be max-loopy
-    members: list[list[int]] = [[] for _ in range(ncomp_d)]
-    for i, c in enumerate(comp_d):
-        members[c].append(i)
-    check_g = all(maxloopy[i] or _has_loopless_triangle(edge_lists[i])
-                  for group in members for i in _representatives(group, loops, edge_lists))
-
-    detected = detect_disconnected(ds).status == "disconnected"
+    best = [0] * ncomp_d  # most loops in each double-swap component
+    for k, c in zip(loops, comp_d):
+        best[c] = max(best[c], k)
     checks = {
         "a": disconnected == (q1_count + q2_count > 0),
         "b": closure_ok,
         "c": ncomp_t == 1,
         "d": (not max_degree_guarantees_connected(ds)) or not disconnected,
-        "e": detected == disconnected,
-        "f": check_f,
-        "g": check_g,
+        "e": (report.status == "disconnected") == disconnected,
+        "f": len({c for k, c in zip(loops, comp_d) if k == mstar}) <= 1,
+        "g": all(k == mstar or k < best[c] or _has_loopless_triangle(edges)
+                 for k, c, edges in zip(loops, comp_d, edge_lists)),
     }
     return {
         "sequence": list(ds),

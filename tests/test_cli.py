@@ -285,6 +285,18 @@ def test_verify_text(capsys):
     assert "FAIL" not in out
 
 
+@pytest.mark.parametrize("seq, max_sum", [
+    ("5,5,5,3,2", "20"), ("6,5,5,3,2,1", "22"), ("5,5,5,3,2,2", "22"),
+])
+def test_verify_counts_any_m_star_loop_placement_as_max_loopy(capsys, seq, max_sum):
+    # these spaces hold m*-loop realizations that loop a vertex of lower
+    # degree than an unlooped one; they are max-loopy all the same
+    rc, out, _ = run_cli(capsys, "verify", "--seq", seq, "--max-sum", max_sum)
+    assert rc == 0
+    assert "g:ok" in out
+    assert "FAIL" not in out
+
+
 def test_verify_writes_dot(tmp_path, capsys):
     dot_path = tmp_path / "space.dot"
     rc, _, _ = run_cli(capsys, "verify", "--seq", "2,2,2", "--dot", str(dot_path))

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from loopygraphs.degseq import NotLoopyGraphical
+from loopygraphs import degseq, oracle
+from loopygraphs.degseq import NotLoopyGraphical, max_loop_count
 from loopygraphs.graph import LoopyGraph
 from loopygraphs.oracle import (
     CHECK_MEANINGS,
@@ -17,8 +18,6 @@ from loopygraphs.oracle import (
     components,
     enumerate_loopy_graphs,
     generate_sequences,
-    is_max_loopy,
-    max_loop_representatives,
     run_sweep,
     stationary_distribution,
     to_dot,
@@ -118,21 +117,6 @@ def test_incomplete_node_set_detected():
         build_swap_graph([cycle])
 
 
-def test_max_loop_representatives():
-    graphs = enumerate_loopy_graphs((2, 2, 2, 2))
-    sg = build_swap_graph(graphs)
-    labels, n = components(sg)
-    all_loops = LoopyGraph(4, [(v, v) for v in range(4)])
-    singleton = labels[sg.index[all_loops.canonical_key()]]
-    assert max_loop_representatives(sg, singleton) == [all_loops]
-    big = 1 - singleton
-    reps = max_loop_representatives(sg, big)
-    assert len(reps) == 4
-    assert all(g.loop_count() == 1 for g in reps)
-    with pytest.raises(ValueError):
-        max_loop_representatives(sg, 99)
-
-
 def test_stationary_distribution():
     graphs = enumerate_loopy_graphs((2, 2, 2))
     vertex = stationary_distribution(graphs, "vertex")
@@ -145,23 +129,13 @@ def test_stationary_distribution():
         stationary_distribution(graphs, "edge")
 
 
-def test_is_max_loopy():
-    assert is_max_loopy(LoopyGraph(4, [(v, v) for v in range(4)]))  # (2,2,2,2)
-    tri_loop = LoopyGraph(4, [(0, 1), (0, 2), (1, 2), (3, 3)])
-    assert not is_max_loopy(tri_loop)  # one loop, but four are possible
-    # tied degrees: loops may sit on any top-degree set
-    tied = LoopyGraph(5, [(0, 0), (1, 1), (2, 2), (0, 3), (0, 4), (3, 4)])
-    assert tied.degree_sequence() == (4, 2, 2, 2, 2)
-    assert is_max_loopy(tied)
-    assert is_max_loopy(tied, mstar=3)
-    assert not is_max_loopy(tied, mstar=2)
-
-
 def test_max_loopy_count_is_derivable():
-    # every 3-loop realization of (4,2,2,2,2) keeps a loop on the hub, so the
-    # pair of pendant loop vertices ranges over the six 2-subsets
-    graphs = enumerate_loopy_graphs((4, 2, 2, 2, 2))
-    assert sum(1 for g in graphs if is_max_loopy(g)) == 6
+    # max-loopy means m* = 3 loops; every such realization of (4,2,2,2,2)
+    # keeps a loop on the hub, so the pair of pendant loop vertices ranges
+    # over the six 2-subsets
+    ds = (4, 2, 2, 2, 2)
+    mstar = max_loop_count(ds)
+    assert sum(1 for g in enumerate_loopy_graphs(ds) if g.loop_count() == mstar) == 6
 
 
 def test_verify_sequence_reports():
@@ -202,30 +176,48 @@ def test_verify_sequence_lets_detector_errors_propagate(monkeypatch):
         verify_sequence((2, 2, 2))
 
 
+def test_verify_sequence_works_out_m_star_once(monkeypatch):
+    # the oracle binds its own copy of max_loop_count if it imports one, so
+    # both bindings are counted
+    calls = []
+    real = degseq.max_loop_count
+
+    def counted(degrees):
+        calls.append(tuple(degrees))
+        return real(degrees)
+
+    monkeypatch.setattr(degseq, "max_loop_count", counted)
+    monkeypatch.setattr(oracle, "max_loop_count", counted, raising=False)
+    assert all(verify_sequence((3, 3, 2, 2))["checks"].values())
+    assert calls == [(3, 3, 2, 2)]
+
+
+@pytest.mark.parametrize("t, b", [(t, b) for t in (5, 6, 7) for b in range(t - 3)])
+def test_looped_cliques_are_clique_traps(t, b):
+    """K_t with ``b`` looped vertices: the one clique-trap member of its
+    space, stranded in a double-swap component of its own."""
+    ds = (t + 1,) * b + (t - 1,) * (t - b)
+    r = verify_sequence(ds, max_sum=sum(ds))
+    assert (r["q1_count"], r["components_double"]) == (1, 2)
+    assert all(r["checks"].values()), r["checks"]
+
+
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
-# the known defect of check g (see ROADMAP): representatives that carry m*
-# loops without the strict degree order of is_max_loopy
-CHECK_G_FAILS = {"5,5,5,3,2", "6,5,5,3,2,1", "5,5,5,3,2,2"}
 
 
 def test_small_check_sequences_match_independent_enumerator():
     """The 363 sequences of degree sums 16-22 that the benchmark brute-forces
-    with its own enumerator: counts and components agree, checks a-f hold,
-    and g fails on exactly the three known sequences. The trap-class counts
-    are pinned by a digest recorded from the object-based layer
-    decomposition that the bitmask predicates replaced."""
+    with its own enumerator: counts and components agree, and checks a-g
+    hold. The trap-class counts are pinned by a digest recorded from the
+    object-based layer decomposition that the bitmask predicates replaced."""
     reference = json.loads(REFERENCE.read_text())["small_check"]
     assert len(reference) == 363
-    g_fails = set()
     trap_counts = []
     for key, ref in reference.items():
         r = verify_sequence([int(d) for d in key.split(",")], max_sum=22)
         assert (r["n_graphs"], r["components_double"]) == (ref["graphs"], ref["components"]), key
-        assert all(r["checks"][c] for c in "abcdef"), (key, r["checks"])
-        if not r["checks"]["g"]:
-            g_fails.add(key)
+        assert all(r["checks"].values()), (key, r["checks"])
         trap_counts.append([key, r["q1_count"], r["q2_count"]])
-    assert g_fails == CHECK_G_FAILS
     digest = hashlib.sha256(json.dumps(trap_counts, separators=(",", ":")).encode()).hexdigest()
     assert digest == "f9fa3eace937b9905065d5806dbe8fe1358b4546c83f73f56f7bb1ac944afcdb"
 
@@ -272,7 +264,7 @@ PINNED_SPACES = [
     (4, 2, 2, 2, 2), (2, 2, 2, 2, 2), (4, 3, 3, 2, 2), (3, 3, 2, 2, 2),
     (5, 5, 4, 2), (4, 4, 3, 3, 2), (3, 3, 3, 3, 2, 2), (2, 2, 2, 2, 2, 2),
     (4, 2, 2, 2, 1, 1), (6, 3, 3, 3, 3),
-    # the loop-free edge count breaks ties among most-loop graphs here
+    # several most-loop graphs share a component here
     (3, 3, 1, 1), (4, 4, 4, 1, 1), (3, 3, 2, 1, 1), (4, 4, 1, 1, 1, 1),
 ]
 
@@ -292,19 +284,16 @@ def test_sweep_reports_are_pinned(sweep12):
 
 def test_oracle_outputs_are_pinned(sweep12):
     """The ``run_sweep(12)`` reports and the swap graphs of 25 spaces (node
-    order, both adjacencies, both labelings, the representatives of every
-    double-swap component), pinned by a digest recorded from the
-    frozenset-based neighbour pass that the mask-based one replaced."""
+    order, both adjacencies, both labelings), pinned by a digest recorded
+    from the oracle that still held the tie-broken max-loop
+    representatives."""
     rows = [sweep12]
     for ds in PINNED_SPACES:
         for include_triangle in (True, False):
             sg = build_swap_graph(enumerate_loopy_graphs(ds, max_sum=18), include_triangle)
-            reps = [sorted(sg.index[g.canonical_key()]
-                           for g in max_loop_representatives(sg, c))
-                    for c in range(sg.n_components_double)]
             rows.append([list(ds), [sorted(g.edges) for g in sg.nodes],
                          sg.double_adjacency, sg.triangle_adjacency,
                          sg.components_double, sg.n_components_double,
-                         sg.components_triangle, sg.n_components_triangle, reps])
+                         sg.components_triangle, sg.n_components_triangle])
     digest = hashlib.sha256(json.dumps(rows, separators=(",", ":")).encode()).hexdigest()
-    assert digest == "1ba91cab502921342ce3e70cbe841aefce722f9b33df9b410e1538c0c39d5df6"
+    assert digest == "b320c1375d24f39294bf9d225be6fcd51be02db4e4e05fc69c448f356fe2feaf"

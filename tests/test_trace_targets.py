@@ -27,10 +27,12 @@ def test_layer_targets_trace_the_swap_generators(capsys):
     assert report["n_graphs"] > 1
     for name in ("swaps.double_neighbor_edge_sets", "swaps.triangle_neighbor_edge_sets",
                  "oracle.verify_sequence", "graph.trap_predicates", "cli.main",
-                 "degseq.check_connectivity"):
+                 "degseq.check_connectivity", "degseq.detect_disconnected"):
         assert totals[name][0] > 0, name
     assert counts["swaps.double_neighbor_edge_sets.yielded"] > 0
     assert counts["oracle.graphs"] == report["n_graphs"]
+    # verify_sequence's own detector call is the only one in this run
+    assert totals["degseq.detect_disconnected"][0] == 1
     # uninstalling restores the package's own functions
     for fn in (loopygraphs.oracle.verify_sequence, loopygraphs.oracle.double_neighbor_edge_sets):
         assert not hasattr(fn, "__wrapped__"), fn
